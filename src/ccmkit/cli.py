@@ -11,7 +11,8 @@
 double-integrator, bounded-gain).  Exit codes: 0 checks passed,
 1 a verified condition failed, 2 input error, 3 controller infeasible.
 Reports are JSON with sorted keys; with --no-timestamp two runs on the
-same inputs and seed produce byte-identical files.
+same inputs and seed produce byte-identical files.  --threads is
+accepted and ignored: verify checks the grid in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--segments", type=int, default=None,
                         help="path segments override for the controller")
     common.add_argument("--threads", type=int, default=None,
-                        help="verifier worker threads (default: cpu count)")
+                        help="accepted and ignored (verify runs one vectorized pass)")
     common.add_argument("--seed", type=int, default=None,
                         help="override the grid RNG seed")
     common.add_argument("--no-timestamp", action="store_true",
@@ -145,7 +146,7 @@ def cmd_validate(args) -> int:
 
 def cmd_verify(args) -> int:
     sf = _apply_overrides(load_spec_file(_resolve_spec(args.spec)), args)
-    report = verify(sf.system, sf.metric, sf.grid, threads=args.threads)
+    report = verify(sf.system, sf.metric, sf.grid)
     payload = {
         "command": "verify",
         "spec": sf.name,
@@ -237,7 +238,7 @@ def cmd_demo_counterexample(args) -> int:
     if args.step is not None:
         step = args.step
 
-    report = verify(sys_, met, grid, threads=args.threads)
+    report = verify(sys_, met, grid)
 
     # open-loop runs under the constant input u = 1
     run_one = integrate(sys_, np.ones(sys_.m), np.ones(sys_.n), 0.0, horizon, step)

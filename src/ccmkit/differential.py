@@ -25,15 +25,20 @@ import numpy as np
 from .model import RawEval
 
 
+def _weighted_sum(v: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """sum_k v[k] T[k], by the np.dot call inside np.tensordot(v, T, axes=(0, 0))."""
+    return np.dot(v.reshape(1, -1), T.reshape(v.shape[0], -1)).reshape(T.shape[1:])
+
+
 def compute_A(raw: RawEval, u: np.ndarray) -> np.ndarray:
     """A = df/dx + sum over input columns of (db_i/dx) u_i."""
-    return raw.dfdx + np.tensordot(np.asarray(u, dtype=float), raw.dBdx, axes=(0, 0))
+    return raw.dfdx + _weighted_sum(np.asarray(u, dtype=float), raw.dBdx)
 
 
 def compute_Mdot(raw: RawEval, u: np.ndarray) -> np.ndarray:
     """Total time derivative of M along xdot = f + B u."""
     xdot = raw.f + raw.B @ np.asarray(u, dtype=float)
-    return raw.dMdt + np.tensordot(xdot, raw.dMdx, axes=(0, 0))
+    return raw.dMdt + _weighted_sum(xdot, raw.dMdx)
 
 
 def compute_H(raw: RawEval) -> np.ndarray:

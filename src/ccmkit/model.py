@@ -433,23 +433,24 @@ def system_evaluator(sys: SystemSpec) -> _SystemEval:
 
 class Plant:
     """Compiled (system, metric) pair; the workhorse behind evaluate_raw,
-    the verifier sweep and the controller's path loop."""
+    the verifier sweep and the controller's path loop.
+
+    It keeps no reference to the specs: plant_for caches it under weak
+    keys on them, and a strong reference would keep them alive forever."""
 
     def __init__(self, sys: SystemSpec, met: MetricSpec):
         if sys.n != met.n:
             raise SpecError(f"system has n={sys.n} but metric has n={met.n}")
-        self.system = sys
-        self.metric = met
         self.sys_ev = system_evaluator(sys)
         self.met_ev = metric_evaluator(met)
 
     @property
     def n(self) -> int:
-        return self.system.n
+        return self.sys_ev.n
 
     @property
     def m(self) -> int:
-        return self.system.m
+        return self.sys_ev.m
 
     def raw(self, x: np.ndarray, t: float, check: bool = True) -> RawEval:
         r = self.raw_batch(np.asarray(x, dtype=float), t)

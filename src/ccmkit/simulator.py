@@ -12,7 +12,7 @@ rate-discounted deviation against sqrt(alpha2 / alpha1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +47,21 @@ def _as_callable(v, length: int):
     return lambda _t: arr
 
 
+def _rk4_step(se, x: np.ndarray, t: float, h: float, u0: np.ndarray,
+              um: np.ndarray, u1: np.ndarray) -> np.ndarray:
+    """One classic RK4 step of dx/dt = f + B u; u0, um and u1 are the
+    inputs at t, t + h/2 and t + h."""
+
+    def xdot(xx, uu, tt):
+        return se.f(xx, tt) + se.B(xx, tt) @ uu
+
+    k1 = xdot(x, u0, t)
+    k2 = xdot(x + 0.5 * h * k1, um, t + 0.5 * h)
+    k3 = xdot(x + 0.5 * h * k2, um, t + 0.5 * h)
+    k4 = xdot(x + h * k3, u1, t + h)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def integrate(sys: SystemSpec, u_of_t, x0: np.ndarray, t0: float = 0.0,
               horizon: float = 10.0, step: float = 1e-3) -> Trajectory:
     """Open-loop RK4 run of dx/dt = f + B u(t).
@@ -62,10 +77,6 @@ def integrate(sys: SystemSpec, u_of_t, x0: np.ndarray, t0: float = 0.0,
     states = np.empty((steps + 1, sys.n))
     inputs = np.empty((steps + 1, sys.m))
     x = np.asarray(x0, dtype=float).copy()
-
-    def xdot(xx, uu, tt):
-        return se.f(xx, tt) + se.B(xx, tt) @ uu
-
     for k in range(steps):
         t = times[k]
         states[k] = x
@@ -73,11 +84,7 @@ def integrate(sys: SystemSpec, u_of_t, x0: np.ndarray, t0: float = 0.0,
         inputs[k] = u0
         um = np.asarray(u_fn(t + 0.5 * h), dtype=float)
         u1 = np.asarray(u_fn(t + h), dtype=float)
-        k1 = xdot(x, u0, t)
-        k2 = xdot(x + 0.5 * h * k1, um, t + 0.5 * h)
-        k3 = xdot(x + 0.5 * h * k2, um, t + 0.5 * h)
-        k4 = xdot(x + h * k3, u1, t + h)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = _rk4_step(se, x, t, h, u0, um, u1)
         if not np.isfinite(x).all():
             raise NonFiniteStateError(float(times[k + 1]))
     states[-1] = x
@@ -195,12 +202,9 @@ def simulate_closed_loop(sys: SystemSpec, met: MetricSpec, cfg: ControllerConfig
     if validate_target:
         ref = integrate(sys, u_fn, np.asarray(x_fn(t0), dtype=float), t0,
                         horizon, step)
-        worst = 0.0
-        scale = 1.0
-        for k, tt in enumerate(ref.times):
-            xs = np.asarray(x_fn(tt), dtype=float)
-            worst = max(worst, float(np.max(np.abs(ref.states[k] - xs))))
-            scale = max(scale, float(np.max(np.abs(xs))))
+        xs = np.array([x_fn(tt) for tt in ref.times], dtype=float)
+        worst = float(np.max(np.abs(ref.states - xs)))
+        scale = max(1.0, float(np.max(np.abs(xs))))
         if worst > target_tol * scale:
             raise ValueError(
                 f"target trajectory violates the dynamics: re-integration "
@@ -215,10 +219,6 @@ def simulate_closed_loop(sys: SystemSpec, met: MetricSpec, cfg: ControllerConfig
     infeasible_time: float | None = None
     infeasible_msg = ""
     abort_time: float | None = None
-
-    def xdot(xx, uu, tt):
-        return se.f(xx, tt) + se.B(xx, tt) @ uu
-
     x = states[0]
     k = 0
     while k < steps:
@@ -232,11 +232,7 @@ def simulate_closed_loop(sys: SystemSpec, met: MetricSpec, cfg: ControllerConfig
             infeasible_msg = str(err)
             break
         inputs.append(u)
-        k1 = xdot(x, u, t)
-        k2 = xdot(x + 0.5 * h * k1, u, t + 0.5 * h)
-        k3 = xdot(x + 0.5 * h * k2, u, t + 0.5 * h)
-        k4 = xdot(x + h * k3, u, t + h)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = _rk4_step(se, x, t, h, u, u, u)
         if not np.isfinite(x).all():
             abort_time = float(times[k + 1])
             break

@@ -25,18 +25,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr
-from .differential import compute_A, compute_H, compute_Mdot, compute_Q
+from .differential import compute_ab, compute_H  # noqa: F401
 from .model import (
     GridSpec,
     MetricSpec,
     RawEval,
     SpecFile,
     SystemSpec,
-    metric_evaluator,
-    plant_for,
     raw_slice,
 )
-from .verifier import CertificateInvalid, check_ccm_point, construct_psi
+from .verifier import _sweep, construct_psi  # noqa: F401
+
+# compute_H and construct_psi are not used here; they stay importable from
+# this module because perfbench/tracer.py patches them under these names.
 
 BETA_DET_TOL = 1e-12
 DUAL_TOL = 1e-9
@@ -61,10 +62,7 @@ def dual_point(raw: RawEval, delta: np.ndarray) -> DualPoint:
     W = np.linalg.inv(raw.M)
     W = 0.5 * (W + W.T)
     d = np.asarray(delta, dtype=float)
-    dW = np.empty_like(raw.dMdx)
-    for k in range(raw.M.shape[0]):
-        dW[k] = -W @ raw.dMdx[k] @ W
-    return DualPoint(W=W, eta=raw.M @ d, dWdx=dW)
+    return DualPoint(W=W, eta=raw.M @ d, dWdx=-W @ raw.dMdx @ W)
 
 
 def dual_constraint_residual(dp: DualPoint, raw: RawEval, psi: float) -> float:
@@ -80,15 +78,10 @@ def dual_constraint_residual(dp: DualPoint, raw: RawEval, psi: float) -> float:
     if dWdx is None:
         dWdx = dual_point(raw, np.zeros(raw.M.shape[0])).dWdx
     rhs = psi * float((raw.B.T @ eta) @ (raw.B.T @ eta))
-    worst = -math.inf
-    m = raw.B.shape[1]
-    for i in range(m):
-        Ji = raw.dBdx[i]
-        dbiW = np.tensordot(raw.B[:, i], dWdx, axes=(0, 0))
-        T = W @ Ji.T + Ji @ W - dbiW
-        lhs = abs(float(eta @ T @ eta))
-        worst = max(worst, lhs - rhs)
-    return worst
+    J = raw.dBdx
+    dbW = np.tensordot(raw.B, dWdx, axes=(0, 0))        # dbW[i] = d_{b_i} W
+    T = W @ np.swapaxes(J, -1, -2) + J @ W - dbW
+    return float(np.max(np.abs(eta @ T @ eta))) - rhs
 
 
 @dataclass
@@ -169,19 +162,24 @@ class FeedbackTransform:
             self._beta_fn = expr.compile_matrix(self.beta, self.n)
         return self._alpha_fn, self._beta_fn
 
-    def at(self, x: np.ndarray, t: float = 0.0):
-        """(alpha, beta, kappa, gamma) at a point; raises ValueError when
-        beta is singular there (|det| <= 1e-12 or gamma <= 0)."""
+    def at(self, x: np.ndarray, t=0.0):
+        """(alpha, beta, kappa, gamma) at a point, or at each row of a
+        stack of points (t broadcast against the rows); raises ValueError
+        at the first point where beta is singular (|det| <= 1e-12 or
+        gamma <= 0)."""
         alpha_fn, beta_fn = self._compiled()
         a = alpha_fn(x, t)[..., :, 0]
         b = beta_fn(x, t)
-        det = float(np.linalg.det(b))
-        kappa = float(np.max(np.sum(np.abs(b), axis=-1)))
-        gamma = float(np.min(np.linalg.eigvalsh(b @ b.T)))
-        if abs(det) <= BETA_DET_TOL or gamma <= 0.0:
+        det = np.linalg.det(b)
+        kappa = np.max(np.sum(np.abs(b), axis=-1), axis=-1)
+        gamma = np.min(np.linalg.eigvalsh(b @ np.swapaxes(b, -1, -2)), axis=-1)
+        singular = np.ravel((np.abs(det) <= BETA_DET_TOL) | (gamma <= 0.0))
+        if singular.any():
+            i = int(np.argmax(singular))
             raise ValueError(
-                f"beta is singular at x={np.asarray(x).tolist()}, t={t}: "
-                f"det={det:.3e}, gamma={gamma:.3e}"
+                f"beta is singular at x={np.reshape(x, (-1, self.n))[i].tolist()}, "
+                f"t={float(np.broadcast_to(t, det.shape).ravel()[i])}: "
+                f"det={np.ravel(det)[i]:.3e}, gamma={np.ravel(gamma)[i]:.3e}"
             )
         return a, b, kappa, gamma
 
@@ -258,14 +256,6 @@ class InvarianceResult:
         }
 
 
-def _vdot_quadratic(raw: RawEval, u: np.ndarray, delta: np.ndarray) -> float:
-    """delta'(Mdot + A'M + MA) delta at the given input."""
-    A = compute_A(raw, u)
-    Mdot = compute_Mdot(raw, u)
-    Md = raw.M @ delta
-    return float(delta @ Mdot @ delta + 2.0 * (A @ delta) @ Md)
-
-
 def invariance_probe(sys: SystemSpec, met: MetricSpec, tf: FeedbackTransform,
                      grid: GridSpec, slack_tol: float = 1e-8,
                      margin_tol: float = 1e-9, fd_points: int = 8,
@@ -283,81 +273,58 @@ def invariance_probe(sys: SystemSpec, met: MetricSpec, tf: FeedbackTransform,
     compares the kernel contraction margins of the original and the
     transformed system pointwise (both vacuous counts as a match).
     """
-    plant = plant_for(sys, met)
-    sys_t = apply_feedback_transform(sys, tf)
-    plant_t = plant_for(sys_t, met)
-    X = grid.x_points()
+    sw = _sweep(sys, met, grid, met.lam)
+    sw_t = _sweep(apply_feedback_transform(sys, tf), met, grid, met.lam)
     deltas = grid.deltas(sys.n)
+    idx = np.flatnonzero(sw.valid)
+    _, beta, kappa, gamma = tf.at(sw.x[idx], sw.t[idx])
+    psibar = kappa * sw.psi[idx] / gamma
 
-    checked = 0
-    skipped = 0
-    min_slack = math.inf
-    kappa_max = 0.0
-    gamma_min = math.inf
-    psibar_max = 0.0
-    fd_checked = 0
+    # kernel margins; an empty kernel counts as -inf on both sides
+    m1, m2 = (np.where(np.isnan(s.margin[idx]), -np.inf, s.margin[idx]) for s in (sw, sw_t))
+    with np.errstate(invalid="ignore"):
+        diff = np.where(np.isinf(m1) & np.isinf(m2), 0.0, np.abs(m1 - m2))
+    margins_ok = not np.any(diff > margin_tol)
+
+    # each tangent at every point at once: p_i = delta' H_i delta,
+    # grad_v = beta' p and w = beta' B' M delta
+    H, M = sw.H[idx], sw.raw.M[idx]
+    betaT = np.swapaxes(beta, -1, -2)
+    BT = np.swapaxes(sw.raw.B[idx], -1, -2)
+    fd_checked = min(fd_points, idx.size)
+    min_slack, fd_grads = math.inf, []
+    for d in deltas:
+        dc = d[:, None]
+        grad_v = (betaT @ ((d[None, :] @ H) @ dc)[..., 0])[..., 0]
+        w = betaT @ (BT @ (M @ dc))
+        rhs = psibar * 4.0 * (np.swapaxes(w, -1, -2) @ w)[:, 0, 0]
+        slack = rhs - np.max(np.abs(grad_v), axis=-1, initial=0.0)
+        min_slack = min(min_slack, float(np.min(slack, initial=math.inf)))
+        fd_grads.append(grad_v[:fd_checked])
+
     fd_max_err = 0.0
-    margin_max_diff = 0.0
-    margins_ok = True
-
-    for t in grid.t_samples:
-        t = float(t)
-        rb = plant.raw_batch(X, t)
-        rb_t = plant_t.raw_batch(X, t)
-        for idx in range(X.shape[0]):
-            raw = raw_slice(rb, idx)
-            raw_t = raw_slice(rb_t, idx)
-            H = compute_H(raw)
-            try:
-                cert = construct_psi(compute_Q(raw), H)
-            except CertificateInvalid:
-                skipped += 1
-                continue
-            _a, beta, kappa, gamma = tf.at(X[idx], t)
-            psibar = kappa * cert.psi / gamma
-            kappa_max = max(kappa_max, kappa)
-            gamma_min = min(gamma_min, gamma)
-            psibar_max = max(psibar_max, psibar)
-
-            m1 = check_ccm_point(raw, met.lam)
-            m2 = check_ccm_point(raw_t, met.lam)
-            if math.isinf(m1) and math.isinf(m2):
-                diff = 0.0
-            else:
-                diff = abs(m1 - m2)
-            margin_max_diff = max(margin_max_diff, diff)
-            if diff > margin_tol:
-                margins_ok = False
-
-            do_fd = fd_checked < fd_points
-            for d in deltas:
-                p = np.array([float(d @ Hi @ d) for Hi in H])
-                grad_v = beta.T @ p
-                lhs = float(np.max(np.abs(grad_v)))
-                w = beta.T @ (raw.B.T @ (raw.M @ d))
-                rhs = psibar * 4.0 * float(w @ w)
-                min_slack = min(min_slack, rhs - lhs)
-                checked += 1
-                if do_fd:
-                    for i in range(sys.m):
-                        vp = np.zeros(sys.m)
-                        vp[i] = fd_step
-                        fd = (_vdot_quadratic(raw_t, vp, d)
-                              - _vdot_quadratic(raw_t, -vp, d)) / (2.0 * fd_step)
-                        err = abs(fd - grad_v[i]) / (1.0 + abs(grad_v[i]))
-                        fd_max_err = max(fd_max_err, err)
-            if do_fd:
-                fd_checked += 1
+    for j in range(fd_checked):
+        raw_t = raw_slice(sw_t.raw, idx[j])
+        for k, d in enumerate(deltas):
+            for i in range(sys.m):
+                vp = fd_step * np.eye(sys.m)[i]
+                fd = (compute_ab(raw_t, vp, d, 0.0)[0]
+                      - compute_ab(raw_t, -vp, d, 0.0)[0]) / (2.0 * fd_step)
+                g = float(fd_grads[k][j, i])
+                fd_max_err = max(fd_max_err, abs(fd - g) / (1.0 + abs(g)))
 
     if not math.isfinite(min_slack):
         min_slack = 0.0
+    gamma_min = float(np.min(gamma, initial=math.inf))
     passed = (min_slack >= -slack_tol) and margins_ok and (
         fd_checked == 0 or fd_max_err <= 1e-6
     )
     return InvarianceResult(
-        passed=passed, checked_points=checked, skipped_invalid=skipped,
-        min_slack=min_slack, kappa_max=kappa_max,
+        passed=passed, checked_points=idx.size * len(deltas),
+        skipped_invalid=sw.valid.size - idx.size, min_slack=min_slack,
+        kappa_max=float(np.max(kappa, initial=0.0)),
         gamma_min=gamma_min if math.isfinite(gamma_min) else 0.0,
-        psibar_max=psibar_max, fd_checked=fd_checked, fd_max_err=fd_max_err,
-        margin_max_diff=margin_max_diff, margins_match=margins_ok,
+        psibar_max=float(np.max(psibar, initial=0.0)), fd_checked=fd_checked,
+        fd_max_err=fd_max_err, margin_max_diff=float(np.max(diff, initial=0.0)),
+        margins_match=margins_ok,
     )

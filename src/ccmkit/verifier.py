@@ -19,9 +19,7 @@ domain; a pass certifies the grid, never the whole state space):
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,7 +32,6 @@ from .model import (
     SystemSpec,
     check_metric_bounds,
     plant_for,
-    raw_slice,
 )
 
 TAU_RANK = 1e-9      # relative singular-value cutoff for ker (MB)'
@@ -196,25 +193,101 @@ def construct_psi(Q: np.ndarray, H: np.ndarray, tau_eig: float = TAU_EIG,
 
 
 # ---------------------------------------------------------------------------
-# grid sweeps
+# grid sweep: all points at once on stacked arrays, each product in the
+# operation order of the point functions above, so that the numbers at
+# every point agree with theirs bit for bit
 
-def _grid_raws(sys: SystemSpec, met: MetricSpec, grid: GridSpec):
-    """Yield (x, t, RawEval) over the full x grid and t samples."""
-    plant = plant_for(sys, met)
+def _T(A: np.ndarray) -> np.ndarray:
+    return np.swapaxes(A, -1, -2)
+
+
+def _norms(A: np.ndarray, axes: int = 1) -> np.ndarray:
+    """Euclidean norms over the last `axes` axes, summed as np.linalg.norm does."""
+    v = A.reshape(A.shape[:A.ndim - axes] + (1, -1))
+    return np.sqrt(v @ _T(v))[..., 0, 0]
+
+
+@dataclass
+class _Sweep:
+    """Per-point results of one pass, in grid order (t samples outermost)."""
+
+    x: np.ndarray              # (P, n) points
+    t: np.ndarray              # (P,) time samples
+    raw: RawEval               # the stacked raw batch
+    H: np.ndarray              # (P, m, n, n) compute_H at every point
+    margin: np.ndarray         # kernel margin, NaN where the kernel is empty
+    eps: np.ndarray            # eps_margin(M)
+    orth_residual: np.ndarray  # max_i ||N' H_i N||_F, 0 where the kernel is empty
+    orth_ok: np.ndarray
+    psi: np.ndarray            # certificate psi, NaN where it is invalid
+    cert_residual: np.ndarray  # residual of the first failing H_i, else the worst
+    valid: np.ndarray
+    h_norm: np.ndarray         # max_i ||H_i||_F
+
+
+def _sweep(sys: SystemSpec, met: MetricSpec, grid: GridSpec, lam: float) -> _Sweep:
+    """Every pointwise check at every grid point: one raw batch per t
+    sample, stacked in grid order, then checked in one pass."""
     X = grid.x_points()
-    for t in grid.t_samples:
-        rb = plant.raw_batch(X, float(t))
-        for i in range(X.shape[0]):
-            yield X[i], float(t), raw_slice(rb, i)
+    ts = [float(t) for t in grid.t_samples]
+    parts = [plant_for(sys, met).raw_batch(X, t) for t in ts]
+    rb = parts[0] if len(parts) == 1 else RawEval(
+        *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(RawEval)))
+    P, n, m = rb.B.shape
+    M = rb.M
+    Mi = M[:, None]
+    dirM = (_T(rb.B) @ rb.dMdx.reshape(P, n, n * n)).reshape(P, m, n, n)
+    Hr = dirM + (_T(rb.dBdx) @ Mi + Mi @ rb.dBdx)
+    H = 0.5 * (Hr + _T(Hr))
+    Hn = _norms(H, 2)
+    Htol = EPS_ORTH * (1.0 + Hn)
+
+    # kernel of (MB)', grouped by numerical rank
+    MB = M @ rb.B
+    _, s, vh = np.linalg.svd(_T(MB), full_matrices=True)
+    rank = np.where(s[:, 0] > 0.0, np.sum(s > TAU_RANK * s[:, :1], axis=1), 0)
+    Mdot0 = rb.dMdt + (rb.f[:, None, :] @ rb.dMdx.reshape(P, n, n * n)).reshape(P, n, n)
+    MA = M @ rb.dfdx
+    S = Mdot0 + MA + _T(MA) + 2.0 * lam * M
+    eps = 1e-7 * (1.0 + np.max(np.abs(np.linalg.eigvalsh(M)), axis=1))
+    margin, orth_residual, orth_ok = np.full(P, np.nan), np.zeros(P), np.ones(P, bool)
+    for r in np.unique(rank[rank < n]):
+        idx = np.flatnonzero(rank == r)
+        N = np.ascontiguousarray(_T(vh[idx, r:, :]))
+        NT = _T(N)
+        ri = _norms(NT[:, None] @ H[idx] @ N[:, None], 2)
+        orth_residual[idx] = np.max(ri, axis=1, initial=0.0)
+        orth_ok[idx] = ~np.any(ri > Htol[idx], axis=1)
+        SN = NT @ S[idx] @ N
+        margin[idx] = np.max(np.linalg.eigvalsh(0.5 * (SN + _T(SN))), axis=1)
+
+    # psi certificate on range Q, grouped by the rank of Q
+    Q = MB @ _T(MB)
+    Q = 0.5 * (Q + _T(Q))
+    w, V = np.linalg.eigh(0.5 * (Q + _T(Q)))
+    qrank = np.sum(w > TAU_EIG * np.maximum(1.0, w[:, -1:]), axis=1)
+    res, psi = Hn.copy(), np.zeros(P)
+    for r in np.unique(qrank[qrank > 0]):
+        idx = np.flatnonzero(qrank == r)
+        Vt = np.ascontiguousarray(V[idx, :, n - r:][..., ::-1])
+        Ht = _T(Vt)[:, None] @ H[idx] @ Vt[:, None]
+        res[idx] = _norms(H[idx] - Vt[:, None] @ Ht @ _T(Vt)[:, None], 2)
+        ok = ~np.any(res[idx] > Htol[idx], axis=1)
+        sig = np.max(np.abs(np.linalg.eigvalsh(Ht[ok])), axis=(1, 2), initial=0.0)
+        psi[idx[ok]] = sig / w[idx[ok], n - r]
+    fail = res > Htol
+    valid = ~np.any(fail, axis=1)
+    cert_residual = np.where(valid, np.max(res, axis=1, initial=0.0),
+                             res[np.arange(P), np.argmax(fail, axis=1)])
+    psi[~valid] = np.nan
+    return _Sweep(x=np.tile(X, (len(ts), 1)), t=np.repeat(ts, X.shape[0]), raw=rb,
+                  H=H, margin=margin, eps=eps, orth_residual=orth_residual,
+                  orth_ok=orth_ok, psi=psi, cert_residual=cert_residual,
+                  valid=valid, h_norm=np.max(Hn, axis=1))
 
 
-def _map_points(fn, points, threads: int | None):
-    items = list(points)
-    workers = os.cpu_count() or 1 if threads is None else max(1, int(threads))
-    if workers == 1 or len(items) < 64:
-        return [fn(p) for p in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
+def _at(sw: _Sweep, i: int) -> dict:
+    return {"x": sw.x[i].tolist(), "t": float(sw.t[i])}
 
 
 @dataclass
@@ -240,59 +313,41 @@ class ContractionResult:
         }
 
 
+def _contraction(sw: _Sweep) -> ContractionResult:
+    vacuous = np.isnan(sw.margin)
+    orth_bad = ~sw.orth_ok
+    margin_bad = sw.margin >= -sw.eps
+    failures: list = []
+    for i in np.flatnonzero(orth_bad | margin_bad)[:16]:
+        if orth_bad[i]:
+            failures.append({**_at(sw, i), "reason": "orthogonality",
+                             "residual": float(sw.orth_residual[i])})
+        if margin_bad[i]:
+            failures.append({**_at(sw, i), "reason": "margin",
+                             "margin": float(sw.margin[i]), "eps": float(sw.eps[i])})
+    worst, worst_at = None, {}
+    if not vacuous.all():
+        i = np.nanargmax(sw.margin)
+        worst, worst_at = float(sw.margin[i]), _at(sw, i)
+    orth = OrthogonalityResult(not orth_bad.any(),
+                               float(np.max(sw.orth_residual, initial=0.0)), EPS_ORTH)
+    return ContractionResult(
+        passed=not (orth_bad.any() or margin_bad.any()),
+        checked_points=sw.x.shape[0], vacuous_points=int(vacuous.sum()),
+        worst_margin=worst, worst_at=worst_at, failures=failures[:16],
+        orthogonality=orth,
+    )
+
+
 def check_contraction(sys: SystemSpec, met: MetricSpec, grid: GridSpec,
-                      lam: float | None = None,
-                      threads: int | None = None) -> ContractionResult:
+                      lam: float | None = None) -> ContractionResult:
     """Kernel contraction condition over the grid at u = 0.
 
     Orthogonality of every H_i on the kernel is a precondition at each
     point; where it fails, the point is recorded as a failure rather
     than raising.  Points with an empty kernel pass vacuously.
     """
-    rate = met.lam if lam is None else lam
-
-    def eval_point(item):
-        x, t, raw = item
-        N = kernel_basis(raw.M @ raw.B)
-        if N.shape[1] == 0:
-            return (x, t, None, None, True, 0.0)
-        orth = check_orthogonality(compute_H(raw), N)
-        margin = check_ccm_point(raw, rate)
-        eps = eps_margin(raw.M)
-        return (x, t, margin, eps, orth.passed, orth.residual)
-
-    rows = _map_points(eval_point, _grid_raws(sys, met, grid), threads)
-
-    vacuous = 0
-    worst: float | None = None
-    worst_at: dict = {}
-    failures: list = []
-    orth_worst = 0.0
-    orth_ok = True
-    passed = True
-    for x, t, margin, eps, o_ok, o_res in rows:
-        orth_worst = max(orth_worst, o_res)
-        if margin is None:
-            vacuous += 1
-            continue
-        if not o_ok:
-            orth_ok = False
-            passed = False
-            if len(failures) < 16:
-                failures.append({"x": x.tolist(), "t": t,
-                                 "reason": "orthogonality",
-                                 "residual": float(o_res)})
-        if worst is None or margin > worst:
-            worst = margin
-            worst_at = {"x": x.tolist(), "t": t}
-        if margin >= -eps:
-            passed = False
-            if len(failures) < 16:
-                failures.append({"x": x.tolist(), "t": t, "reason": "margin",
-                                 "margin": float(margin), "eps": float(eps)})
-    orth = OrthogonalityResult(orth_ok, orth_worst, EPS_ORTH)
-    return ContractionResult(passed, len(rows), vacuous, worst, worst_at,
-                             failures, orth)
+    return _contraction(_sweep(sys, met, grid, met.lam if lam is None else lam))
 
 
 @dataclass
@@ -372,9 +427,33 @@ class Condition1Result:
         }
 
 
+def _condition1(sys: SystemSpec, met: MetricSpec, sw: _Sweep,
+                psi_cap: float) -> Condition1Result:
+    bad = np.flatnonzero(~sw.valid)
+    invalid_examples = [{**_at(sw, i), "residual": float(sw.cert_residual[i])}
+                        for i in bad[:16]]
+    psi = np.where(sw.valid, sw.psi, 0.0)
+    i = int(np.argmax(psi))
+    max_psi, max_at = (float(psi[i]), _at(sw, i)) if psi[i] > 0.0 else (0.0, {})
+    blow_up = bad.size > 0 or max_psi > psi_cap
+    power_law = None
+    if blow_up:
+        # fit along the ray through the invalid point nearest the origin
+        # (the first one on ties), else through the largest psi
+        nx = _norms(sw.x)
+        off = bad[nx[bad] > 0.0]
+        j = off[np.argmin(nx[off])] if off.size else (i if max_at and nx[i] > 0.0 else None)
+        if j is not None:
+            power_law = fit_psi_power_law(sys, met, sw.x[j], float(sw.t[j]))
+    return Condition1Result(
+        passed=not blow_up, checked_points=sw.x.shape[0], max_psi=max_psi,
+        max_psi_at=max_at, psi_cap=psi_cap, invalid_count=int(bad.size),
+        invalid_examples=invalid_examples, blow_up=blow_up, power_law=power_law,
+    )
+
+
 def check_condition1(sys: SystemSpec, met: MetricSpec, grid: GridSpec,
-                     psi_cap: float = PSI_CAP,
-                     threads: int | None = None) -> Condition1Result:
+                     psi_cap: float = PSI_CAP) -> Condition1Result:
     """Certificate psi at every grid (x, t); fails on blow-up.
 
     Blow-up means max psi exceeding psi_cap or CertificateInvalid
@@ -383,51 +462,7 @@ def check_condition1(sys: SystemSpec, met: MetricSpec, grid: GridSpec,
     blow-up of the scalar counterexample the fitted exponent is -3)
     from merely large finite values.
     """
-
-    def eval_point(item):
-        x, t, raw = item
-        try:
-            cert = construct_psi(compute_Q(raw), compute_H(raw))
-        except CertificateInvalid as err:
-            return (x, t, None, err.residual)
-        return (x, t, cert.psi, None)
-
-    rows = _map_points(eval_point, _grid_raws(sys, met, grid), threads)
-
-    max_psi = 0.0
-    max_at: dict = {}
-    invalid = 0
-    invalid_examples: list = []
-    bad_dir: np.ndarray | None = None
-    bad_norm = math.inf
-    t_for_fit = float(grid.t_samples[0])
-    for x, t, psi, residual in rows:
-        if psi is None:
-            invalid += 1
-            if len(invalid_examples) < 16:
-                invalid_examples.append({"x": x.tolist(), "t": t,
-                                         "residual": float(residual)})
-            nx = float(np.linalg.norm(x))
-            if 0.0 < nx < bad_norm:
-                bad_norm, bad_dir, t_for_fit = nx, x, t
-            continue
-        if psi > max_psi:
-            max_psi, max_at = psi, {"x": x.tolist(), "t": t}
-    blow_up = invalid > 0 or max_psi > psi_cap
-    power_law = None
-    if blow_up:
-        if bad_dir is None and max_at:
-            cand = np.asarray(max_at["x"], dtype=float)
-            if float(np.linalg.norm(cand)) > 0.0:
-                bad_dir = cand
-                t_for_fit = max_at["t"]
-        if bad_dir is not None:
-            power_law = fit_psi_power_law(sys, met, bad_dir, t_for_fit)
-    return Condition1Result(
-        passed=not blow_up, checked_points=len(rows), max_psi=max_psi,
-        max_psi_at=max_at, psi_cap=psi_cap, invalid_count=invalid,
-        invalid_examples=invalid_examples, blow_up=blow_up, power_law=power_law,
-    )
+    return _condition1(sys, met, _sweep(sys, met, grid, met.lam), psi_cap)
 
 
 @dataclass
@@ -450,34 +485,26 @@ class StrongConditionsResult:
         }
 
 
-def check_strong_conditions(sys: SystemSpec, met: MetricSpec, grid: GridSpec,
-                            threads: int | None = None,
-                            contraction: ContractionResult | None = None,
-                            condition1: Condition1Result | None = None,
-                            ) -> StrongConditionsResult:
+def _strong(sw: _Sweep, contraction: ContractionResult) -> StrongConditionsResult:
+    max_h = float(np.max(sw.h_norm, initial=0.0))
+    c2 = max_h <= C2_TOL
+    strong = contraction.passed and c2
+    psi_zero: bool | None = None
+    if strong:
+        psi_zero = not np.any(sw.valid & (sw.psi > 0.0))
+    return StrongConditionsResult(contraction.passed, c2, strong, max_h,
+                                  C2_TOL, psi_zero)
+
+
+def check_strong_conditions(sys: SystemSpec, met: MetricSpec,
+                            grid: GridSpec) -> StrongConditionsResult:
     """Strong version of the conditions: C1 is the kernel contraction
     check (the kernel already is the orthogonal complement of the MB
     columns), C2 asks every H_i to vanish identically on the grid.
     When both hold, the psi = 0 certificate is confirmed against the
     Condition-1 sweep."""
-    if contraction is None:
-        contraction = check_contraction(sys, met, grid, threads=threads)
-
-    def eval_point(item):
-        _x, _t, raw = item
-        return float(max(np.linalg.norm(Hi) for Hi in compute_H(raw)))
-
-    norms = _map_points(eval_point, _grid_raws(sys, met, grid), threads)
-    max_h = max(norms) if norms else 0.0
-    c2 = max_h <= C2_TOL
-    strong = contraction.passed and c2
-    psi_zero: bool | None = None
-    if strong:
-        if condition1 is None:
-            condition1 = check_condition1(sys, met, grid, threads=threads)
-        psi_zero = condition1.max_psi == 0.0
-    return StrongConditionsResult(contraction.passed, c2, strong, max_h,
-                                  C2_TOL, psi_zero)
+    sw = _sweep(sys, met, grid, met.lam)
+    return _strong(sw, _contraction(sw))
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +540,14 @@ def verify(sys: SystemSpec, met: MetricSpec, grid: GridSpec,
 
     The verdict is positive iff metric bounds, kernel contraction and
     the Condition-1 certificate sweep all pass on the checked domain.
+    threads is accepted for compatibility and ignored: the grid is
+    checked in one vectorized pass.
     """
     bounds = check_metric_bounds(met, grid)
-    contraction = check_contraction(sys, met, grid, threads=threads)
-    condition1 = check_condition1(sys, met, grid, threads=threads)
-    strong = check_strong_conditions(sys, met, grid, threads=threads,
-                                     contraction=contraction,
-                                     condition1=condition1)
+    sw = _sweep(sys, met, grid, met.lam)
+    contraction = _contraction(sw)
+    condition1 = _condition1(sys, met, sw, PSI_CAP)
+    strong = _strong(sw, contraction)
     verdict = bounds.passed and contraction.passed and condition1.passed
     return VerificationReport(
         domain=grid.describe(), scope=SCOPE_NOTE, metric_bounds=bounds,

@@ -274,3 +274,16 @@ def test_xdot():
     got = plant.xdot(x, u, 0.0)
     raw = plant.raw(x, 0.0)
     assert np.allclose(got, raw.f + raw.B @ u, atol=1e-15)
+
+
+def test_plant_cache_lets_specs_be_freed():
+    # plant_for caches under weak keys; a plant that referenced its specs
+    # would keep every spec it was ever built for alive
+    import gc
+    import weakref
+    sys_, met = curved_system()
+    plant_for(sys_, met).raw_batch(np.zeros((3, 2)), 0.0)
+    refs = [weakref.ref(sys_), weakref.ref(met)]
+    del sys_, met
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
