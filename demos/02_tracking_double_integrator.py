@@ -10,6 +10,8 @@ and compares the measured decay against the claim.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -63,5 +65,6 @@ print(f"  V under the exponential envelope on [0.5, 10]: "
       f"(peak use {100 * float(np.max(rep.V[late] / env[late])):.1f}%)")
 
 # 4. hand the run to your plotter of choice
-write_csv("double_integrator_tracking.csv", traj, rep.V)
-print("\nwrote double_integrator_tracking.csv (t, x1, x2, u1, V)")
+csv_path = Path(tempfile.mkdtemp()) / "double_integrator_tracking.csv"
+write_csv(csv_path, traj, rep.V)
+print(f"\nwrote {csv_path} (t, x1, x2, u1, V)")

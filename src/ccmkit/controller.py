@@ -15,6 +15,11 @@ from the target (x*, u*) to the current state: straight-line nodes,
 optionally relaxed toward a geodesic of M by descending the discrete
 path energy.  When the metric is constant the straight line already is
 the geodesic and refinement is skipped.
+
+The path is scanned with per-segment terms that are affine in u: on a
+segment a(u) = a0 + sum_i u_i delta' H_i delta, and b and B' M delta do
+not depend on u, so one stacked pass serves every segment and the
+accumulation from node to node is scalar work.
 """
 
 from __future__ import annotations
@@ -24,15 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .differential import compute_ab
-from .model import (
-    MetricSpec,
-    RawEval,
-    SystemSpec,
-    metric_evaluator,
-    plant_for,
-    raw_slice,
-)
+from .differential import compute_ab  # noqa: F401  # unused; perfbench/tracer.py patches it
+from .model import MetricSpec, RawEval, SystemSpec, metric_evaluator, plant_for
 
 B_FLOOR = 1e-12
 
@@ -85,6 +83,21 @@ def rho(a: float, b: float, b_floor: float = B_FLOOR) -> float:
     return (a + math.sqrt(a * a + b * b)) / b
 
 
+def _feedback_terms(raw: RawEval, delta: np.ndarray, lam: float):
+    """(a0, slope, w, b) for one segment or segments stacked over leading
+    axes: compute_ab's a is a0 + slope @ u, slope_i = delta' H_i delta,
+    w = B' M delta and b = 4 |w|^2."""
+    Md = np.einsum("...ij,...j->...i", raw.M, delta)
+    dMd = np.einsum("...kij,...i,...j->...k", raw.dMdx, delta, delta)
+    Ad = np.einsum("...ij,...j->...i", raw.dfdx, delta) + lam * delta
+    a0 = (np.einsum("...i,...ij,...j->...", delta, raw.dMdt, delta)
+          + (raw.f * dMd + 2.0 * Ad * Md).sum(-1))
+    slope = (np.einsum("...ki,...k->...i", raw.B, dMd)
+             + 2.0 * np.einsum("...ijk,...k,...j->...i", raw.dBdx, delta, Md))
+    w = np.einsum("...ki,...k->...i", raw.B, Md)
+    return a0, slope, w, 4.0 * (w * w).sum(-1)
+
+
 def differential_feedback(raw: RawEval, delta: np.ndarray, u: np.ndarray,
                           lam: float, b_floor: float = B_FLOOR) -> np.ndarray:
     """Tangent-level control delta_u = -rho(a, b) B' M delta.
@@ -96,11 +109,8 @@ def differential_feedback(raw: RawEval, delta: np.ndarray, u: np.ndarray,
     d = np.asarray(delta, dtype=float)
     if not d.any():
         return np.zeros(raw.B.shape[1])
-    a, b = compute_ab(raw, u, d, lam)
-    r = rho(a, b, b_floor)
-    if r == 0.0:
-        return np.zeros(raw.B.shape[1])
-    return -r * (raw.B.T @ (raw.M @ d))
+    a0, slope, w, b = _feedback_terms(raw, d, lam)
+    return -rho(float(a0 + slope @ u), float(b), b_floor) * w
 
 
 def path_energy(nodes: np.ndarray, met: MetricSpec, t: float = 0.0) -> float:
@@ -194,11 +204,11 @@ def tracking_feedback(x: np.ndarray, x_star: np.ndarray, u_star: np.ndarray,
     if not diffs.any():
         return u
     raws = plant_for(sys, met).raw_batch(nodes[:-1], t)
-    for j in range(diffs.shape[0]):
+    a0, slope, w, b = _feedback_terms(raws, diffs, cfg.lam)
+    for j in np.flatnonzero(diffs.any(axis=1)).tolist():
         try:
-            du = differential_feedback(raw_slice(raws, j), diffs[j], u,
-                                       cfg.lam, cfg.b_floor)
+            r = rho(float(a0[j] + slope[j] @ u), float(b[j]), cfg.b_floor)
         except Infeasible as err:
             raise Infeasible(err.a, err.b, x=nodes[j], node=j, time=t) from None
-        u = u + du
+        u = u - r * w[j]
     return u

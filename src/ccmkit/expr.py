@@ -494,13 +494,12 @@ def to_python_source(e: Expression, names: dict[str, str]) -> str:
     raise TypeError(f"not an Expression: {e!r}")
 
 
-def compile_matrix(entries, n: int, allow_u: int = 0):
+def compile_matrix(entries, n: int):
     """Compile a rectangular table of Expressions into one vectorized callable.
 
-    entries: list of rows of Expression; returns fn(X, T[, U]) -> array of
+    entries: list of rows of Expression; returns fn(X, T) -> array of
     shape X.shape[:-1] + (rows, cols).  X has trailing axis n; T is a scalar
-    or an array broadcastable against X.shape[:-1].  When allow_u > 0 the
-    callable takes U with trailing axis allow_u.  Division by zero and
+    or an array broadcastable against X.shape[:-1].  Division by zero and
     overflow follow IEEE inside (callers flag non-finite output).
     """
     rows = len(entries)
@@ -508,10 +507,7 @@ def compile_matrix(entries, n: int, allow_u: int = 0):
     names = {"t": "T"}
     for i in range(n):
         names[f"x{i + 1}"] = f"X[..., {i}]"
-    for j in range(allow_u):
-        names[f"u{j + 1}"] = f"U[..., {j}]"
-    args = "X, T" + (", U" if allow_u else "")
-    lines = [f"def _fn({args}):"]
+    lines = ["def _fn(X, T):"]
     lines.append(f"    out = np.empty(np.shape(X)[:-1] + ({rows}, {cols}))")
     for i, row in enumerate(entries):
         if len(row) != cols:
@@ -523,13 +519,8 @@ def compile_matrix(entries, n: int, allow_u: int = 0):
     exec(compile("\n".join(lines), "<ccmkit-compiled>", "exec"), namespace)
     raw_fn = namespace["_fn"]
 
-    if allow_u:
-        def fn(X, T, U):
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                return raw_fn(np.asarray(X, dtype=float), T, np.asarray(U, dtype=float))
-    else:
-        def fn(X, T):
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                return raw_fn(np.asarray(X, dtype=float), T)
+    def fn(X, T):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return raw_fn(np.asarray(X, dtype=float), T)
     fn.source = "\n".join(lines)
     return fn

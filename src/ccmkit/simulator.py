@@ -125,17 +125,22 @@ class ConvergenceReport:
         }
 
 
+def _target_states(traj: Trajectory, x_star, n: int) -> np.ndarray:
+    """x*(t) at every sample time, stacked (k, n)."""
+    x_fn = _as_callable(x_star, n)
+    return np.array([x_fn(t) for t in traj.times], dtype=float).reshape(-1, n)
+
+
+def _cost(traj: Trajectory, xs: np.ndarray, met: MetricSpec) -> np.ndarray:
+    e = traj.states - xs
+    M = metric_evaluator(met).M(xs, traj.times)
+    return ((e[:, None, :] @ M) @ e[:, :, None])[:, 0, 0]
+
+
 def tracking_cost(traj: Trajectory, x_star, met: MetricSpec) -> np.ndarray:
     """V(t) = (x - x*)' M(x*, t) (x - x*) along the run (for a constant
     metric this is exactly the geodesic energy between x and x*)."""
-    ev = metric_evaluator(met)
-    x_fn = _as_callable(x_star, met.n)
-    out = np.empty(traj.times.size)
-    for k, t in enumerate(traj.times):
-        xs = np.asarray(x_fn(t), dtype=float)
-        e = traj.states[k] - xs
-        out[k] = float(e @ ev.M(xs, float(t)) @ e)
-    return out
+    return _cost(traj, _target_states(traj, x_star, met.n), met)
 
 
 def convergence_metrics(traj: Trajectory, x_star, met: MetricSpec,
@@ -149,15 +154,12 @@ def convergence_metrics(traj: Trajectory, x_star, met: MetricSpec,
     """
     rate = met.lam if lam is None else lam
     claimed_R = math.sqrt(met.alpha2 / met.alpha1)
-    V = tracking_cost(traj, x_star, met)
+    xs = _target_states(traj, x_star, met.n)
+    V = _cost(traj, xs, met)
     rep = ConvergenceReport(V=V, claimed_rate=rate, claimed_overshoot=claimed_R)
 
     t = traj.times
-    x_fn = _as_callable(x_star, met.n)
-    dev = np.array([
-        float(np.linalg.norm(traj.states[k] - np.asarray(x_fn(tt), dtype=float)))
-        for k, tt in enumerate(t)
-    ])
+    dev = np.linalg.norm(traj.states - xs, axis=1)
 
     if float(np.max(V)) < V_CONVERGED:
         rep.rate_status = "converged"
@@ -202,7 +204,7 @@ def simulate_closed_loop(sys: SystemSpec, met: MetricSpec, cfg: ControllerConfig
     if validate_target:
         ref = integrate(sys, u_fn, np.asarray(x_fn(t0), dtype=float), t0,
                         horizon, step)
-        xs = np.array([x_fn(tt) for tt in ref.times], dtype=float)
+        xs = _target_states(ref, x_fn, sys.n)
         worst = float(np.max(np.abs(ref.states - xs)))
         scale = max(1.0, float(np.max(np.abs(xs))))
         if worst > target_tol * scale:

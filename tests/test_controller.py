@@ -1,6 +1,7 @@
 """Feedback gain, path energy descent and the tracking control."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from ccmkit.controller import (
     tracking_feedback,
 )
 from ccmkit.differential import compute_ab, compute_V
-from ccmkit.model import bundled_spec_path, load_spec_file, plant_for
+from ccmkit.model import bundled_spec_path, load_spec_file, plant_for, raw_slice
 from conftest import curved_system, metric_of, scalar_counterexample
 
 
@@ -162,6 +163,59 @@ def test_tracking_infeasible_near_vanishing_gain():
     u = tracking_feedback(np.array([0.0]), np.array([1.0]), np.array([1.0]),
                           sys, met, coarse, t=0.0)
     assert np.isfinite(u).all()
+
+
+def _segmentwise_feedback(x, x_star, u_star, sys, met, cfg, t):
+    """Reference: tracking_feedback as one compute_ab call per segment."""
+    u = np.asarray(u_star, dtype=float).copy()
+    nodes = build_path(x_star, x, met, cfg, t).nodes
+    diffs = nodes[1:] - nodes[:-1]
+    raws = plant_for(sys, met).raw_batch(nodes[:-1], t)
+    for j in range(diffs.shape[0]):
+        if not diffs[j].any():
+            continue
+        raw = raw_slice(raws, j)
+        a, b = compute_ab(raw, u, diffs[j], cfg.lam)
+        try:
+            r = rho(a, b, cfg.b_floor)
+        except Infeasible:
+            raise Infeasible(a, b, x=nodes[j], node=j, time=t) from None
+        u = u - r * (raw.B.T @ (raw.M @ diffs[j]))
+    return u
+
+
+def test_tracking_feedback_matches_segmentwise_reference():
+    warped = Path(__file__).parents[1] / "perfbench" / "specs" / "warped_double_integrator.json"
+    specs = [load_spec_file(bundled_spec_path(name))
+             for name in ("double-integrator", "bounded-gain")]
+    specs.append(load_spec_file(warped))
+    cases = [(sf.system, sf.metric) for sf in specs] + [curved_system()]
+    rng = np.random.default_rng(83)
+    for sys, met in cases:
+        cfg = ControllerConfig(lam=met.lam, path_segments=16)
+        for _ in range(25):
+            x, x_star = rng.uniform(-2.0, 2.0, size=(2, sys.n))
+            u_star = rng.uniform(-2.0, 2.0, size=sys.m)
+            t = float(rng.uniform(0.0, 2.0))
+            want = _segmentwise_feedback(x, x_star, u_star, sys, met, cfg, t)
+            got = tracking_feedback(x, x_star, u_star, sys, met, cfg, t)
+            scale = float(np.max(np.abs(want)))
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
+
+
+def test_tracking_feedback_infeasible_like_segmentwise_reference():
+    sys, met = scalar_counterexample()
+    cfg = ControllerConfig(lam=0.5, path_segments=256)
+    args = (np.array([0.0]), np.array([1.0]), np.array([1.0]), sys, met, cfg, 0.0)
+    with pytest.raises(Infeasible) as ref:
+        _segmentwise_feedback(*args)
+    with pytest.raises(Infeasible) as ei:
+        tracking_feedback(*args)
+    want, got = ref.value, ei.value
+    assert got.node == want.node and got.time == want.time == 0.0
+    assert np.array_equal(got.x, want.x)
+    assert got.a == pytest.approx(want.a, rel=1e-12, abs=1e-300)
+    assert got.b == pytest.approx(want.b, rel=1e-12, abs=1e-300)
 
 
 def test_controller_config_defaults():

@@ -205,13 +205,6 @@ def test_compile_matrix_matches_evaluate():
     assert "def _fn" in fn.source
 
 
-def test_compile_matrix_with_inputs():
-    fn = compile_matrix([[parse("x1*u2 - u1")]], n=1, allow_u=2)
-    out = fn(np.array([3.0]), 0.0, np.array([1.0, 2.0]))
-    assert out.shape == (1, 1)
-    assert out[0, 0] == 5.0
-
-
 def test_compile_matrix_rejects_ragged():
     with pytest.raises(ValueError):
         compile_matrix([[parse("x1"), parse("x1")], [parse("x1")]], n=1)
