@@ -3,9 +3,12 @@
 Subpackage map:
 
 * expr         -- expression parsing, evaluation, differentiation
-* model        -- system/metric/grid types, spec files, raw evaluation
-* differential -- A, Mdot, H_i, Q and the (a, b) feedback scalars
-* verifier     -- grid checks, psi certificates, verification reports
+* model        -- system/metric/grid types, spec files, compiled raw
+                  evaluation (stacked, or one point with Plant.raw)
+* differential -- H_i, Q and the affine-in-u feedback terms behind (a, b),
+                  over stacked points
+* verifier     -- kernel, margin and psi-certificate stages over stacked
+                  points, grid checks, verification reports
 * controller   -- rho feedback, path discretization, tracking control
 * simulator    -- RK4 integration, closed-loop runs, convergence fits
 * transforms   -- dual coordinates, convexity probe, input transforms
@@ -35,13 +38,9 @@ from .controller import (  # noqa: F401
     tracking_feedback,
 )
 from .differential import (  # noqa: F401
-    DifferentialData,
-    compute_A,
     compute_H,
-    compute_Mdot,
     compute_Q,
     compute_ab,
-    differential_data,
 )
 from .expr import (  # noqa: F401
     Expression,
@@ -53,7 +52,6 @@ from .expr import (  # noqa: F401
     to_text,
 )
 from .model import (  # noqa: F401
-    EvalPoint,
     GridSpec,
     MetricSpec,
     RawEval,
@@ -63,11 +61,9 @@ from .model import (  # noqa: F401
     SystemSpec,
     bundled_spec_path,
     check_metric_bounds,
-    evaluate_raw,
     load_spec,
     load_spec_file,
     plant_for,
-    raw_slice,
 )
 from .simulator import (  # noqa: F401
     ConvergenceReport,
@@ -92,10 +88,8 @@ from .verifier import (  # noqa: F401
     CertificateInvalid,
     PsiCertificate,
     VerificationReport,
-    check_ccm_point,
     check_condition1,
     check_contraction,
-    check_orthogonality,
     check_strong_conditions,
     construct_psi,
     fit_psi_power_law,

@@ -9,7 +9,9 @@
 
 --spec accepts a file path or a bundled name (counterexample,
 double-integrator, bounded-gain).  Exit codes: 0 checks passed,
-1 a verified condition failed, 2 input error, 3 controller infeasible.
+1 a verified condition failed, 2 input error (including a bad override
+value, or a spec that evaluates to inf or nan on the grid),
+3 controller infeasible.
 Reports are JSON with sorted keys; with --no-timestamp two runs on the
 same inputs and seed produce byte-identical files.  --threads is
 accepted and ignored: verify checks the grid in one vectorized pass.
@@ -28,7 +30,14 @@ import numpy as np
 
 from . import __version__ as _version
 from .controller import ControllerConfig
-from .model import GridSpec, SpecError, SpecFile, bundled_spec_path, load_spec_file
+from .model import (
+    GridSpec,
+    NonFiniteEvalError,
+    SpecError,
+    SpecFile,
+    bundled_spec_path,
+    load_spec_file,
+)
 from .simulator import integrate, simulate_closed_loop, tracking_cost, write_csv
 from .verifier import verify
 
@@ -90,13 +99,17 @@ def _resolve_spec(arg: str | None, default: str | None = None) -> Path:
 
 
 def _apply_overrides(sf: SpecFile, args) -> SpecFile:
+    for flag, value in (("--lambda", args.lam), ("--horizon", args.horizon),
+                        ("--step", args.step)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise SpecError(f"{flag} must be positive and finite")
+    for flag, value in (("--grid-density", args.grid_density),
+                        ("--segments", args.segments)):
+        if value is not None and value < 1:
+            raise SpecError(f"{flag} must be >= 1")
     if args.lam is not None:
-        if args.lam <= 0:
-            raise SpecError("--lambda must be positive")
         sf.metric.lam = args.lam
     if args.grid_density is not None:
-        if args.grid_density < 1:
-            raise SpecError("--grid-density must be >= 1")
         sf.grid = GridSpec(
             [(lo, hi, args.grid_density) for lo, hi, _ in sf.grid.x_ranges],
             sf.grid.u_samples, sf.grid.t_samples,
@@ -384,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except SpecError as err:
+    except (SpecError, NonFiniteEvalError) as err:
         print(f"error: {err}", file=_sys.stderr)
         return EXIT_INPUT_ERROR
 

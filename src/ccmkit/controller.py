@@ -29,7 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .differential import compute_ab  # noqa: F401  # unused; perfbench/tracer.py patches it
+# compute_ab is not used here; it stays importable from this module because
+# perfbench/tracer.py patches it under this name
+from .differential import compute_ab, feedback_terms  # noqa: F401
 from .model import MetricSpec, RawEval, SystemSpec, metric_evaluator, plant_for
 
 B_FLOOR = 1e-12
@@ -83,21 +85,6 @@ def rho(a: float, b: float, b_floor: float = B_FLOOR) -> float:
     return (a + math.sqrt(a * a + b * b)) / b
 
 
-def _feedback_terms(raw: RawEval, delta: np.ndarray, lam: float):
-    """(a0, slope, w, b) for one segment or segments stacked over leading
-    axes: compute_ab's a is a0 + slope @ u, slope_i = delta' H_i delta,
-    w = B' M delta and b = 4 |w|^2."""
-    Md = np.einsum("...ij,...j->...i", raw.M, delta)
-    dMd = np.einsum("...kij,...i,...j->...k", raw.dMdx, delta, delta)
-    Ad = np.einsum("...ij,...j->...i", raw.dfdx, delta) + lam * delta
-    a0 = (np.einsum("...i,...ij,...j->...", delta, raw.dMdt, delta)
-          + (raw.f * dMd + 2.0 * Ad * Md).sum(-1))
-    slope = (np.einsum("...ki,...k->...i", raw.B, dMd)
-             + 2.0 * np.einsum("...ijk,...k,...j->...i", raw.dBdx, delta, Md))
-    w = np.einsum("...ki,...k->...i", raw.B, Md)
-    return a0, slope, w, 4.0 * (w * w).sum(-1)
-
-
 def differential_feedback(raw: RawEval, delta: np.ndarray, u: np.ndarray,
                           lam: float, b_floor: float = B_FLOOR) -> np.ndarray:
     """Tangent-level control delta_u = -rho(a, b) B' M delta.
@@ -109,7 +96,7 @@ def differential_feedback(raw: RawEval, delta: np.ndarray, u: np.ndarray,
     d = np.asarray(delta, dtype=float)
     if not d.any():
         return np.zeros(raw.B.shape[1])
-    a0, slope, w, b = _feedback_terms(raw, d, lam)
+    a0, slope, w, b = feedback_terms(raw, d, lam)
     return -rho(float(a0 + slope @ u), float(b), b_floor) * w
 
 
@@ -204,7 +191,7 @@ def tracking_feedback(x: np.ndarray, x_star: np.ndarray, u_star: np.ndarray,
     if not diffs.any():
         return u
     raws = plant_for(sys, met).raw_batch(nodes[:-1], t)
-    a0, slope, w, b = _feedback_terms(raws, diffs, cfg.lam)
+    a0, slope, w, b = feedback_terms(raws, diffs, cfg.lam)
     for j in np.flatnonzero(diffs.any(axis=1)).tolist():
         try:
             r = rho(float(a0[j] + slope[j] @ u), float(b[j]), cfg.b_floor)

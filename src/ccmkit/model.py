@@ -1,4 +1,4 @@
-"""System, metric and grid descriptions plus pointwise raw evaluation.
+"""System, metric and grid descriptions plus compiled raw evaluation.
 
 A system is dx/dt = f(x, t) + B(x, t) u with n states and m inputs; a
 candidate metric is a symmetric matrix function M(x, t) with claimed
@@ -96,14 +96,6 @@ class GridSpec:
 
 
 @dataclass
-class EvalPoint:
-    x: np.ndarray
-    u: np.ndarray
-    t: float
-    delta: np.ndarray
-
-
-@dataclass
 class RawEval:
     """All pointwise data the differential layer needs.  Leading axes are
     batch axes when produced by Plant.raw_batch."""
@@ -115,12 +107,6 @@ class RawEval:
     dBdx: np.ndarray   # (m, n, n), dBdx[i] = Jacobian of column b_i
     dMdx: np.ndarray   # (n, n, n), dMdx[k] = d M / d x_k
     dMdt: np.ndarray   # (n, n)
-
-
-def raw_slice(r: RawEval, i: int) -> RawEval:
-    """View row i of a batched RawEval as a single-point RawEval."""
-    return RawEval(f=r.f[i], B=r.B[i], M=r.M[i], dfdx=r.dfdx[i],
-                   dBdx=r.dBdx[i], dMdx=r.dMdx[i], dMdt=r.dMdt[i])
 
 
 @dataclass
@@ -432,8 +418,8 @@ def system_evaluator(sys: SystemSpec) -> _SystemEval:
 
 
 class Plant:
-    """Compiled (system, metric) pair; the workhorse behind evaluate_raw,
-    the verifier sweep and the controller's path loop.
+    """Compiled (system, metric) pair; the workhorse behind the verifier
+    sweep, the controller's path loop and single-point evaluation.
 
     It keeps no reference to the specs: plant_for caches it under weak
     keys on them, and a strong reference would keep them alive forever."""
@@ -452,10 +438,14 @@ class Plant:
     def m(self) -> int:
         return self.sys_ev.m
 
-    def raw(self, x: np.ndarray, t: float, check: bool = True) -> RawEval:
-        r = self.raw_batch(np.asarray(x, dtype=float), t)
-        if check:
-            _flag_non_finite(r, x, t)
+    def raw(self, x: np.ndarray, t: float) -> RawEval:
+        """f, B, M and their derivative blocks at one point x of shape
+        (n,); a non-finite entry raises NonFiniteEvalError naming it."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise SpecError(f"point x has shape {x.shape}, expected ({self.n},)")
+        r = self.raw_batch(x, t)
+        _flag_non_finite(r, x, t)
         return r
 
     def raw_batch(self, X: np.ndarray, t) -> RawEval:
@@ -465,9 +455,6 @@ class Plant:
             dfdx=se.dfdx(X, t), dBdx=se.dBdx(X, t),
             dMdx=me.dMdx(X, t), dMdt=me.dMdt(X, t),
         )
-
-    def xdot(self, x: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
-        return self.sys_ev.f(x, t) + self.sys_ev.B(x, t) @ u
 
 
 _PLANT_CACHE: WeakKeyDictionary = WeakKeyDictionary()
@@ -485,42 +472,33 @@ def plant_for(sys: SystemSpec, met: MetricSpec) -> Plant:
     return plant
 
 
-_ENTRY_LABELS = (
-    ("f", lambda r: r.f, 1),
-    ("B", lambda r: r.B, 2),
-    ("M", lambda r: r.M, 2),
-    ("df/dx", lambda r: r.dfdx, 2),
-    ("dB/dx", lambda r: r.dBdx, 3),
-    ("dM/dx", lambda r: r.dMdx, 3),
-    ("dM/dt", lambda r: r.dMdt, 2),
-)
+_ENTRY_LABELS = (("f", "f"), ("B", "B"), ("M", "M"), ("dfdx", "df/dx"),
+                 ("dBdx", "dB/dx"), ("dMdx", "dM/dx"), ("dMdt", "dM/dt"))
 
 
 def _flag_non_finite(r: RawEval, x, t) -> None:
-    for label, pick, _rank in _ENTRY_LABELS:
-        arr = pick(r)
-        if not np.isfinite(arr).all():
-            idx = np.argwhere(~np.isfinite(np.atleast_1d(arr)))[0]
-            where = "".join(f"[{int(i)}]" for i in idx)
-            raise NonFiniteEvalError(
-                f"non-finite entry {label}{where} at x={np.asarray(x).tolist()}, t={t}"
-            )
+    """Raise NonFiniteEvalError if r holds inf or nan.
 
-
-def evaluate_raw(sys: SystemSpec, met: MetricSpec, p: EvalPoint) -> RawEval:
-    """Evaluate f, B, M and their derivative blocks at one point.
-
-    Non-finite results raise NonFiniteEvalError naming the offending
-    entry.  p.u and p.delta are validated for shape but not consumed:
-    none of the raw blocks depend on them.
+    r is evaluated at one point x, or at points stacked over the leading
+    axes of x, with t one time or one per point.  The message names the
+    first offending point's entry without the batch index (f[0], M[0][1])
+    and gives that point's x and t.
     """
-    x = np.asarray(p.x, dtype=float)
-    u = np.asarray(p.u, dtype=float)
-    if x.shape != (sys.n,):
-        raise SpecError(f"point x has shape {x.shape}, expected ({sys.n},)")
-    if u.shape != (sys.m,):
-        raise SpecError(f"point u has shape {u.shape}, expected ({sys.m},)")
-    return plant_for(sys, met).raw(x, float(p.t), check=True)
+    x = np.asarray(x, dtype=float)
+    lead = x.shape[:-1]
+    bad = {name: ~np.isfinite(getattr(r, name)) for name, _ in _ENTRY_LABELS}
+    at = np.any([b.any(axis=tuple(range(len(lead), b.ndim))) for b in bad.values()],
+                axis=0)
+    if not at.any():
+        return
+    p = np.unravel_index(np.argmax(at), lead)
+    name, label = next((n, lb) for n, lb in _ENTRY_LABELS if bad[n][p].any())
+    entry = np.unravel_index(np.argmax(bad[name][p]), bad[name].shape[len(lead):])
+    where = "".join(f"[{int(i)}]" for i in entry)
+    raise NonFiniteEvalError(
+        f"non-finite entry {label}{where} at x={x[p].tolist()}, "
+        f"t={float(np.broadcast_to(t, lead)[p])}"
+    )
 
 
 # ---------------------------------------------------------------------------

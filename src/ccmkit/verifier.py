@@ -30,6 +30,7 @@ from .model import (
     MetricSpec,
     RawEval,
     SystemSpec,
+    _flag_non_finite,
     check_metric_bounds,
     plant_for,
 )
@@ -54,21 +55,6 @@ class CertificateInvalid(Exception):
         self.residual = residual
 
 
-def kernel_basis(MB: np.ndarray, tau_rank: float = TAU_RANK) -> np.ndarray:
-    """Orthonormal basis (n x k) of {delta : delta' M B = 0}.
-
-    Computed from the SVD of (MB)'; singular values below
-    tau_rank * sigma_max count as zero.  MB = 0 gives the full space.
-    """
-    A = np.asarray(MB, dtype=float).T
-    _, s, vh = np.linalg.svd(A, full_matrices=True)
-    if s.size == 0 or s[0] <= 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > tau_rank * s[0]))
-    return vh[rank:].T.copy()
-
-
 @dataclass
 class OrthogonalityResult:
     passed: bool
@@ -79,57 +65,6 @@ class OrthogonalityResult:
         return {"passed": bool(self.passed), "residual": float(self.residual),
                 "tol": float(self.tol)}
 
-
-def check_orthogonality(H: np.ndarray, N: np.ndarray,
-                        eps: float = EPS_ORTH) -> OrthogonalityResult:
-    """Does every H_i vanish on the kernel spanned by N?
-
-    Per input i the tolerance is eps * (1 + ||H_i||_F); the reported
-    residual is the largest ||N' H_i N||_F.
-    """
-    if N.shape[1] == 0:
-        return OrthogonalityResult(True, 0.0, eps)
-    worst = 0.0
-    worst_tol = eps
-    ok = True
-    for Hi in H:
-        ri = float(np.linalg.norm(N.T @ Hi @ N))
-        tol_i = eps * (1.0 + float(np.linalg.norm(Hi)))
-        if ri > worst:
-            worst, worst_tol = ri, tol_i
-        if ri > tol_i:
-            ok = False
-    return OrthogonalityResult(ok, worst, worst_tol)
-
-
-def eps_margin(M: np.ndarray) -> float:
-    """Strictness threshold for the kernel contraction margin."""
-    norm2 = float(np.max(np.abs(np.linalg.eigvalsh(M))))
-    return 1e-7 * (1.0 + norm2)
-
-
-def check_ccm_point(raw: RawEval, lam: float) -> float:
-    """Largest eigenvalue of N'(Mdot + A'M + MA + 2 lambda M)N at u = 0.
-
-    Returns -inf when the kernel is empty (nothing to check: every
-    tangent is controlled).  Negative margin means contraction on the
-    kernel at this point.  Callers are expected to have confirmed
-    orthogonality first; without it the margin is still computed but a
-    contraction claim is unsound.
-    """
-    N = kernel_basis(raw.M @ raw.B)
-    if N.shape[1] == 0:
-        return -math.inf
-    A0 = raw.dfdx
-    Mdot0 = raw.dMdt + np.tensordot(raw.f, raw.dMdx, axes=(0, 0))
-    MA = raw.M @ A0
-    S = Mdot0 + MA + MA.T + 2.0 * lam * raw.M
-    SN = N.T @ S @ N
-    return float(np.max(np.linalg.eigvalsh(0.5 * (SN + SN.T))))
-
-
-# ---------------------------------------------------------------------------
-# psi certificate
 
 @dataclass
 class PsiCertificate:
@@ -149,53 +84,10 @@ class PsiCertificate:
     residual: float
 
 
-def construct_psi(Q: np.ndarray, H: np.ndarray, tau_eig: float = TAU_EIG,
-                  eps_orth: float = EPS_ORTH) -> PsiCertificate:
-    """Build the eigenspace certificate at one point.
-
-    Raises CertificateInvalid when some H_i does not vanish on the
-    kernel of Q (residual above eps_orth * (1 + ||H_i||_F)): then no
-    finite psi satisfies the pairing bound at this point.
-    """
-    w, V = np.linalg.eigh(0.5 * (Q + Q.T))
-    cutoff = tau_eig * max(1.0, float(w[-1]) if w.size else 1.0)
-    nz = w > cutoff
-    order = np.argsort(w[nz])[::-1]
-    D = w[nz][order]
-    Vt = V[:, nz][:, order]
-    r = int(D.size)
-
-    m = H.shape[0]
-    Ht = np.zeros((m, r, r))
-    worst_res = 0.0
-    for i in range(m):
-        Hi = H[i]
-        norm_i = float(np.linalg.norm(Hi))
-        if r:
-            Ht[i] = Vt.T @ Hi @ Vt
-            res = float(np.linalg.norm(Hi - Vt @ Ht[i] @ Vt.T))
-        else:
-            res = norm_i
-        worst_res = max(worst_res, res)
-        if res > eps_orth * (1.0 + norm_i):
-            raise CertificateInvalid(
-                f"H[{i}] leaks outside range(Q): residual {res:.3e} "
-                f"exceeds {eps_orth * (1.0 + norm_i):.3e}",
-                residual=res,
-            )
-    if r == 0:
-        psi = 0.0
-    else:
-        sig = max(float(np.max(np.abs(np.linalg.eigvalsh(Ht[i])))) for i in range(m))
-        psi = sig / float(D[-1])
-    return PsiCertificate(Vtilde=Vt, Dtilde=D, Htilde=Ht, psi=psi,
-                          residual=worst_res)
-
-
 # ---------------------------------------------------------------------------
-# grid sweep: all points at once on stacked arrays, each product in the
-# operation order of the point functions above, so that the numbers at
-# every point agree with theirs bit for bit
+# pointwise stages on points stacked along the first axis: the grid sweep
+# runs them on every grid point, fit_psi_power_law on the points of a ray,
+# and kernel_basis and construct_psi on a single point
 
 def _T(A: np.ndarray) -> np.ndarray:
     return np.swapaxes(A, -1, -2)
@@ -203,53 +95,36 @@ def _T(A: np.ndarray) -> np.ndarray:
 
 def _norms(A: np.ndarray, axes: int = 1) -> np.ndarray:
     """Euclidean norms over the last `axes` axes, summed as np.linalg.norm does."""
-    v = A.reshape(A.shape[:A.ndim - axes] + (1, -1))
+    k = A.ndim - axes
+    v = A.reshape(A.shape[:k] + (1, math.prod(A.shape[k:])))
     return np.sqrt(v @ _T(v))[..., 0, 0]
 
 
-@dataclass
-class _Sweep:
-    """Per-point results of one pass, in grid order (t samples outermost)."""
-
-    x: np.ndarray              # (P, n) points
-    t: np.ndarray              # (P,) time samples
-    raw: RawEval               # the stacked raw batch
-    H: np.ndarray              # (P, m, n, n) compute_H at every point
-    margin: np.ndarray         # kernel margin, NaN where the kernel is empty
-    eps: np.ndarray            # eps_margin(M)
-    orth_residual: np.ndarray  # max_i ||N' H_i N||_F, 0 where the kernel is empty
-    orth_ok: np.ndarray
-    psi: np.ndarray            # certificate psi, NaN where it is invalid
-    cert_residual: np.ndarray  # residual of the first failing H_i, else the worst
-    valid: np.ndarray
-    h_norm: np.ndarray         # max_i ||H_i||_F
-
-
-def _sweep(sys: SystemSpec, met: MetricSpec, grid: GridSpec, lam: float) -> _Sweep:
-    """Every pointwise check at every grid point: one raw batch per t
-    sample, stacked in grid order, then checked in one pass."""
-    X = grid.x_points()
-    ts = [float(t) for t in grid.t_samples]
-    parts = [plant_for(sys, met).raw_batch(X, t) for t in ts]
-    rb = parts[0] if len(parts) == 1 else RawEval(
-        *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(RawEval)))
-    P, n, m = rb.B.shape
-    M = rb.M
-    Mi = M[:, None]
-    dirM = (_T(rb.B) @ rb.dMdx.reshape(P, n, n * n)).reshape(P, m, n, n)
-    Hr = dirM + (_T(rb.dBdx) @ Mi + Mi @ rb.dBdx)
-    H = 0.5 * (Hr + _T(Hr))
-    Hn = _norms(H, 2)
-    Htol = EPS_ORTH * (1.0 + Hn)
-
-    # kernel of (MB)', grouped by numerical rank
-    MB = M @ rb.B
+def _kernel(MB: np.ndarray):
+    """SVD of (MB)' and its numerical rank: singular values below
+    TAU_RANK * sigma_max count as zero, and MB = 0 has rank 0.  Rows
+    rank: of vh are an orthonormal basis of ker (MB)'."""
     _, s, vh = np.linalg.svd(_T(MB), full_matrices=True)
-    rank = np.where(s[:, 0] > 0.0, np.sum(s > TAU_RANK * s[:, :1], axis=1), 0)
-    Mdot0 = rb.dMdt + (rb.f[:, None, :] @ rb.dMdx.reshape(P, n, n * n)).reshape(P, n, n)
-    MA = M @ rb.dfdx
-    S = Mdot0 + MA + _T(MA) + 2.0 * lam * M
-    eps = 1e-7 * (1.0 + np.max(np.abs(np.linalg.eigvalsh(M)), axis=1))
+    return vh, np.where(s[:, 0] > 0.0, np.sum(s > TAU_RANK * s[:, :1], axis=1), 0)
+
+
+def kernel_basis(MB: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (n x k) of {delta : delta' M B = 0} at one point.
+
+    MB = 0 gives the full space.
+    """
+    vh, rank = _kernel(np.asarray(MB, dtype=float)[None])
+    return vh[0, rank[0]:].T.copy()
+
+
+def _kernel_checks(MB: np.ndarray, H: np.ndarray, S: np.ndarray,
+                   Htol: np.ndarray):
+    """Kernel stage, grouped by the rank of (MB)'.  With N a basis of the
+    kernel: the margin lambda_max(N' S N) (NaN where the kernel is
+    empty), the orthogonality residual max_i ||N' H_i N||_F (0 there) and
+    whether every ||N' H_i N||_F is within Htol[i]."""
+    P, n, _ = MB.shape
+    vh, rank = _kernel(MB)
     margin, orth_residual, orth_ok = np.full(P, np.nan), np.zeros(P), np.ones(P, bool)
     for r in np.unique(rank[rank < n]):
         idx = np.flatnonzero(rank == r)
@@ -260,30 +135,129 @@ def _sweep(sys: SystemSpec, met: MetricSpec, grid: GridSpec, lam: float) -> _Swe
         orth_ok[idx] = ~np.any(ri > Htol[idx], axis=1)
         SN = NT @ S[idx] @ N
         margin[idx] = np.max(np.linalg.eigvalsh(0.5 * (SN + _T(SN))), axis=1)
+    return margin, orth_residual, orth_ok
 
-    # psi certificate on range Q, grouped by the rank of Q
-    Q = MB @ _T(MB)
-    Q = 0.5 * (Q + _T(Q))
+
+def _range_q(Q: np.ndarray):
+    """Eigenvalues (ascending) and eigenvectors of Q, and the rank of its
+    range: eigenvalues above TAU_EIG * max(1, lambda_max) count."""
     w, V = np.linalg.eigh(0.5 * (Q + _T(Q)))
-    qrank = np.sum(w > TAU_EIG * np.maximum(1.0, w[:, -1:]), axis=1)
-    res, psi = Hn.copy(), np.zeros(P)
-    for r in np.unique(qrank[qrank > 0]):
+    return w, V, np.sum(w > TAU_EIG * np.maximum(1.0, w[:, -1:]), axis=1)
+
+
+def _range_certificate(w: np.ndarray, V: np.ndarray, r: int, H: np.ndarray,
+                       Htol: np.ndarray):
+    """Certificate at points whose Q has rank r (w, V from _range_q).
+
+    Returns Vt (range Q, eigenvalues D descending), Ht[i] = Vt' H_i Vt,
+    res[i] = ||H_i - Vt Ht[i] Vt'||_F and psi = max_i sigma_max(Ht[i]) /
+    D[-1] (0 when r = 0), NaN where some res[i] exceeds Htol[i].
+    """
+    n = w.shape[1]
+    Vt = np.ascontiguousarray(V[:, :, n - r:][..., ::-1])
+    D = w[:, n - r:][:, ::-1]
+    Ht = _T(Vt)[:, None] @ H @ Vt[:, None]
+    res = _norms(H - Vt[:, None] @ Ht @ _T(Vt)[:, None], 2)
+    ok = ~np.any(res > Htol, axis=1)
+    sig = np.max(np.abs(np.linalg.eigvalsh(Ht[ok])), axis=(1, 2), initial=0.0)
+    psi = np.full(w.shape[0], np.nan)
+    psi[ok] = sig / D[ok, -1] if r else sig
+    return Vt, D, Ht, res, psi
+
+
+def _certificate(H: np.ndarray, Q: np.ndarray, Htol: np.ndarray):
+    """Certificate stage, grouped by the rank of Q: psi (NaN where
+    invalid), validity, and the residual of the first failing H_i, else
+    the largest."""
+    P = H.shape[0]
+    w, V, qrank = _range_q(Q)
+    res, psi = np.empty(Htol.shape), np.empty(P)
+    for r in np.unique(qrank):
         idx = np.flatnonzero(qrank == r)
-        Vt = np.ascontiguousarray(V[idx, :, n - r:][..., ::-1])
-        Ht = _T(Vt)[:, None] @ H[idx] @ Vt[:, None]
-        res[idx] = _norms(H[idx] - Vt[:, None] @ Ht @ _T(Vt)[:, None], 2)
-        ok = ~np.any(res[idx] > Htol[idx], axis=1)
-        sig = np.max(np.abs(np.linalg.eigvalsh(Ht[ok])), axis=(1, 2), initial=0.0)
-        psi[idx[ok]] = sig / w[idx[ok], n - r]
+        _, _, _, res[idx], psi[idx] = _range_certificate(w[idx], V[idx], r,
+                                                         H[idx], Htol[idx])
     fail = res > Htol
     valid = ~np.any(fail, axis=1)
     cert_residual = np.where(valid, np.max(res, axis=1, initial=0.0),
                              res[np.arange(P), np.argmax(fail, axis=1)])
-    psi[~valid] = np.nan
-    return _Sweep(x=np.tile(X, (len(ts), 1)), t=np.repeat(ts, X.shape[0]), raw=rb,
-                  H=H, margin=margin, eps=eps, orth_residual=orth_residual,
-                  orth_ok=orth_ok, psi=psi, cert_residual=cert_residual,
-                  valid=valid, h_norm=np.max(Hn, axis=1))
+    return psi, valid, cert_residual
+
+
+def _h_tol(H: np.ndarray):
+    """||H_i||_F and the orthogonality / certificate tolerance
+    EPS_ORTH * (1 + ||H_i||_F) per input."""
+    Hn = _norms(H, 2)
+    return Hn, EPS_ORTH * (1.0 + Hn)
+
+
+def construct_psi(Q: np.ndarray, H: np.ndarray) -> PsiCertificate:
+    """Build the eigenspace certificate at one point.
+
+    Raises CertificateInvalid when some H_i does not vanish on the
+    kernel of Q (residual above EPS_ORTH * (1 + ||H_i||_F)): then no
+    finite psi satisfies the pairing bound at this point.
+    """
+    H = np.asarray(H, dtype=float)[None]
+    _, tol = _h_tol(H)
+    w, V, rank = _range_q(np.asarray(Q, dtype=float)[None])
+    Vt, D, Ht, res, psi = _range_certificate(w, V, int(rank[0]), H, tol)
+    bad = np.flatnonzero(res[0] > tol[0])
+    if bad.size:
+        i = bad[0]
+        raise CertificateInvalid(
+            f"H[{i}] leaks outside range(Q): residual {res[0, i]:.3e} "
+            f"exceeds {tol[0, i]:.3e}",
+            residual=float(res[0, i]),
+        )
+    return PsiCertificate(Vtilde=Vt[0], Dtilde=D[0], Htilde=Ht[0],
+                          psi=float(psi[0]), residual=float(np.max(res[0])))
+
+
+# ---------------------------------------------------------------------------
+# grid sweep: every stage at every grid point in one pass
+
+@dataclass
+class _Sweep:
+    """Per-point results of one pass, in grid order (t samples outermost)."""
+
+    x: np.ndarray              # (P, n) points
+    t: np.ndarray              # (P,) time samples
+    raw: RawEval               # the stacked raw batch
+    H: np.ndarray              # (P, m, n, n) compute_H at every point
+    margin: np.ndarray         # kernel margin, NaN where the kernel is empty
+    eps: np.ndarray            # margin strictness 1e-7 (1 + ||M||_2)
+    orth_residual: np.ndarray  # max_i ||N' H_i N||_F, 0 where the kernel is empty
+    orth_ok: np.ndarray
+    psi: np.ndarray            # certificate psi, NaN where it is invalid
+    cert_residual: np.ndarray  # residual of the first failing H_i, else the worst
+    valid: np.ndarray
+    h_norm: np.ndarray         # max_i ||H_i||_F
+
+
+def _sweep(sys: SystemSpec, met: MetricSpec, grid: GridSpec, lam: float) -> _Sweep:
+    """Every pointwise check at every grid point: one raw batch per t
+    sample, stacked in grid order, flagged for non-finite entries, then
+    checked in one pass."""
+    X = grid.x_points()
+    ts = [float(t) for t in grid.t_samples]
+    parts = [plant_for(sys, met).raw_batch(X, t) for t in ts]
+    rb = parts[0] if len(parts) == 1 else RawEval(
+        *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(RawEval)))
+    x, t = np.tile(X, (len(ts), 1)), np.repeat(ts, X.shape[0])
+    _flag_non_finite(rb, x, t)
+    P, n = rb.f.shape
+    M = rb.M
+    H = compute_H(rb)
+    Hn, Htol = _h_tol(H)
+    Mdot0 = rb.dMdt + (rb.f[:, None, :] @ rb.dMdx.reshape(P, n, n * n)).reshape(P, n, n)
+    MA = M @ rb.dfdx
+    S = Mdot0 + MA + _T(MA) + 2.0 * lam * M
+    margin, orth_residual, orth_ok = _kernel_checks(M @ rb.B, H, S, Htol)
+    psi, valid, cert_residual = _certificate(H, compute_Q(rb), Htol)
+    return _Sweep(x=x, t=t, raw=rb, H=H, margin=margin,
+                  eps=1e-7 * (1.0 + np.max(np.abs(np.linalg.eigvalsh(M)), axis=1)),
+                  orth_residual=orth_residual, orth_ok=orth_ok, psi=psi,
+                  cert_residual=cert_residual, valid=valid, h_norm=np.max(Hn, axis=1))
 
 
 def _at(sw: _Sweep, i: int) -> dict:
@@ -383,18 +357,14 @@ def fit_psi_power_law(sys: SystemSpec, met: MetricSpec, direction: np.ndarray,
     d = d / nd
     if scales is None:
         scales = np.geomspace(0.5, 0.04, 10)
-    plant = plant_for(sys, met)
-    used_s: list[float] = []
-    used_psi: list[float] = []
-    for s in scales:
-        raw = plant.raw(s * d, t, check=False)
-        try:
-            cert = construct_psi(compute_Q(raw), compute_H(raw))
-        except CertificateInvalid:
-            continue
-        if cert.psi > 0.0 and math.isfinite(cert.psi):
-            used_s.append(float(s))
-            used_psi.append(cert.psi)
+    s = np.asarray(scales, dtype=float)
+    X = s[:, None] * d
+    raw = plant_for(sys, met).raw_batch(X, t)
+    _flag_non_finite(raw, X, t)
+    H = compute_H(raw)
+    psi, _, _ = _certificate(H, compute_Q(raw), _h_tol(H)[1])
+    use = np.isfinite(psi) & (psi > 0.0)
+    used_s, used_psi = s[use].tolist(), psi[use].tolist()
     if len(used_s) < 3:
         return PowerLawFit(None, d.tolist(), t, used_s, used_psi)
     slope = float(np.polyfit(np.log(used_s), np.log(used_psi), 1)[0])
@@ -541,10 +511,11 @@ def verify(sys: SystemSpec, met: MetricSpec, grid: GridSpec,
     The verdict is positive iff metric bounds, kernel contraction and
     the Condition-1 certificate sweep all pass on the checked domain.
     threads is accepted for compatibility and ignored: the grid is
-    checked in one vectorized pass.
+    checked in one vectorized pass.  A non-finite raw value anywhere on
+    the grid raises NonFiniteEvalError before any check runs.
     """
-    bounds = check_metric_bounds(met, grid)
     sw = _sweep(sys, met, grid, met.lam)
+    bounds = check_metric_bounds(met, grid)
     contraction = _contraction(sw)
     condition1 = _condition1(sys, met, sw, PSI_CAP)
     strong = _strong(sw, contraction)

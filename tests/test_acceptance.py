@@ -14,7 +14,8 @@ import pytest
 
 from ccmkit.cli import main
 from ccmkit.controller import ControllerConfig, differential_feedback, rho
-from ccmkit.differential import compute_H, compute_Q, compute_V, compute_ab
+import reference as ref
+from ccmkit.differential import compute_H, compute_Q, compute_ab
 from ccmkit.expr import NonFiniteError, differentiate, evaluate, parse
 from ccmkit.model import bundled_spec_path, load_spec_file, plant_for
 from ccmkit.simulator import integrate, simulate_closed_loop
@@ -156,9 +157,9 @@ def test_feedback_gain_is_lipschitz_and_decreasing():
                 if bound > 0.0:
                     worst_fd = max(worst_fd, abs(fd) / bound)
             du = differential_feedback(raw, d, u, lam)
-            a_raw, _ = compute_ab(raw, u, d, 0.0)
+            a_raw, _ = ref.compute_ab(raw, u, d, 0.0)
             vdot = a_raw + 2.0 * float(d @ raw.M @ (raw.B @ du))
-            excess = vdot + 2.0 * lam * compute_V(raw, d)
+            excess = vdot + 2.0 * lam * ref.compute_V(raw, d)
             worst_dec = max(worst_dec, excess)
             assert excess <= 1e-8
     assert evaluated == 1000

@@ -101,7 +101,7 @@ def test_simulate_double_integrator(tmp_path, capsys):
 
 
 def test_simulate_requires_scenario(tmp_path, capsys):
-    doc = json.loads(open(bundled_spec_path("counterexample")).read())
+    doc = json.loads(bundled_spec_path("counterexample").read_text())
     doc.pop("scenario")
     p = tmp_path / "no_scenario.json"
     p.write_text(json.dumps(doc))
@@ -121,6 +121,43 @@ def test_bad_override_values(capsys):
     err = capsys.readouterr().err
     assert "--lambda must be positive" in err
     assert "--grid-density must be >= 1" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "verify", "simulate",
+                                     "demo-counterexample"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--horizon", "0", "--horizon must be positive"),
+    ("--horizon", "-1", "--horizon must be positive"),
+    ("--step", "0", "--step must be positive"),
+    ("--step", "nan", "--step must be positive"),
+    ("--segments", "0", "--segments must be >= 1"),
+])
+def test_bad_run_overrides_are_input_errors(tmp_path, capsys, command, flag,
+                                            value, message):
+    # every command rejects them, since demo-counterexample reads
+    # --horizon and --step itself
+    argv = [command, "--spec", "double-integrator", "--out", str(tmp_path),
+            flag, value]
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("f, B, M, entry", [
+    ("-x1 + 1/x1", "1", "1", "f[0]"),
+    ("-x1", "x1^2", "1 + 1/x1^2", "M[0][0]"),
+])
+def test_verify_non_finite_spec_is_an_input_error(tmp_path, capsys, f, B, M,
+                                                  entry):
+    doc = {"schema": 1, "name": "non-finite", "n": 1, "m": 1, "f": [f],
+           "B": [[B]], "M_upper": [[M]], "alpha1": 1.0, "alpha2": 1.0,
+           "lambda": 0.5, "grid": {"x": [[-1, 1, 5]], "u": [[0]], "t": [0]}}
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(doc))
+    assert main(["verify", "--spec", str(p), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: non-finite entry {entry} at x=[0.0], t=0.0\n"
+    assert captured.out == ""
 
 
 def test_malformed_spec_file(tmp_path, capsys):

@@ -15,8 +15,8 @@ from ccmkit.controller import (
     rho,
     tracking_feedback,
 )
-from ccmkit.differential import compute_ab, compute_V
-from ccmkit.model import bundled_spec_path, load_spec_file, plant_for, raw_slice
+import reference as ref
+from ccmkit.model import bundled_spec_path, load_spec_file, plant_for
 from conftest import curved_system, metric_of, scalar_counterexample
 
 
@@ -50,7 +50,7 @@ def test_differential_feedback_worked_value():
 def _vdot_closed(raw, u, delta, du):
     """delta' Mdot delta + 2 delta' M (A delta + B du) via the identity
     Vdot = (a - 2 lam V) + 2 delta'MB du with lam folded back out."""
-    a, _ = compute_ab(raw, u, delta, 0.0)   # lam = 0 gives the raw quadratic
+    a, _ = ref.compute_ab(raw, u, delta, 0.0)   # lam = 0 gives the raw quadratic
     return a + 2.0 * float(delta @ raw.M @ (raw.B @ du))
 
 
@@ -68,11 +68,11 @@ def test_closed_tangent_loop_decreases():
             u = rng.uniform(-2, 2, size=sys.m)
             delta = rng.normal(size=sys.n)
             raw = plant.raw(x, float(rng.uniform(0, 1)))
-            a, b = compute_ab(raw, u, delta, lam)
+            a, b = ref.compute_ab(raw, u, delta, lam)
             if b <= 1e-12:
                 continue
             du = differential_feedback(raw, delta, u, lam)
-            V = compute_V(raw, delta)
+            V = ref.compute_V(raw, delta)
             vdot = _vdot_closed(raw, u, delta, du)
             assert vdot <= -2.0 * lam * V + 1e-10 * (1.0 + abs(vdot))
             if a >= 0.0:
@@ -166,7 +166,7 @@ def test_tracking_infeasible_near_vanishing_gain():
 
 
 def _segmentwise_feedback(x, x_star, u_star, sys, met, cfg, t):
-    """Reference: tracking_feedback as one compute_ab call per segment."""
+    """Reference: tracking_feedback as one per-point compute_ab call per segment."""
     u = np.asarray(u_star, dtype=float).copy()
     nodes = build_path(x_star, x, met, cfg, t).nodes
     diffs = nodes[1:] - nodes[:-1]
@@ -174,8 +174,8 @@ def _segmentwise_feedback(x, x_star, u_star, sys, met, cfg, t):
     for j in range(diffs.shape[0]):
         if not diffs[j].any():
             continue
-        raw = raw_slice(raws, j)
-        a, b = compute_ab(raw, u, diffs[j], cfg.lam)
+        raw = ref.raw_slice(raws, j)
+        a, b = ref.compute_ab(raw, u, diffs[j], cfg.lam)
         try:
             r = rho(a, b, cfg.b_floor)
         except Infeasible:

@@ -2,21 +2,16 @@
 
 The load-bearing identity is d(Vdot)/du_i = delta' H_i delta; it is
 checked by finite differences of the quadratic form in u.  a is affine
-in u and b must equal 4 delta' Q delta.
+in u and b must equal 4 delta' Q delta.  A, Mdot and V exist only in the
+per-point reference (tests/reference.py), which the closed forms here
+keep honest; the stacked H, Q and (a, b) are compared with it row by row.
 """
 
 import numpy as np
 import pytest
 
-from ccmkit.differential import (
-    compute_A,
-    compute_H,
-    compute_Mdot,
-    compute_Q,
-    compute_V,
-    compute_ab,
-    differential_data,
-)
+import reference as ref
+from ccmkit.differential import compute_H, compute_Q, compute_ab
 from ccmkit.model import plant_for
 from conftest import curved_system, scalar_counterexample, two_input_system
 
@@ -35,12 +30,12 @@ def test_worked_scalar_values():
     raw = plant.raw(np.array([1.0]), 0.0)
     delta = np.array([1.0])
 
-    assert compute_A(raw, np.array([0.0])) == pytest.approx(np.array([[-1.0]]))
-    assert compute_A(raw, np.array([1.0])) == pytest.approx(np.array([[1.0]]))
-    assert np.array_equal(compute_Mdot(raw, np.array([1.0])), [[0.0]])
+    assert ref.compute_A(raw, np.array([0.0])) == pytest.approx(np.array([[-1.0]]))
+    assert ref.compute_A(raw, np.array([1.0])) == pytest.approx(np.array([[1.0]]))
+    assert np.array_equal(ref.compute_Mdot(raw, np.array([1.0])), [[0.0]])
     assert compute_H(raw) == pytest.approx(np.full((1, 1, 1), 4.0))
     assert compute_Q(raw) == pytest.approx(np.array([[1.0]]))
-    assert compute_V(raw, delta) == 1.0
+    assert ref.compute_V(raw, delta) == 1.0
 
     a, b = compute_ab(raw, np.array([1.0]), delta, lam=0.5)
     assert a == pytest.approx(3.0, abs=1e-14)
@@ -105,12 +100,12 @@ def test_A_and_Mdot_affine_midpoint():
         u1 = rng.uniform(-3, 3, size=2)
         u2 = rng.uniform(-3, 3, size=2)
         mid = 0.5 * (u1 + u2)
-        A_mid = compute_A(raw, mid)
-        assert np.allclose(A_mid, 0.5 * (compute_A(raw, u1) + compute_A(raw, u2)),
+        A_mid = ref.compute_A(raw, mid)
+        assert np.allclose(A_mid, 0.5 * (ref.compute_A(raw, u1) + ref.compute_A(raw, u2)),
                            atol=1e-12)
-        M_mid = compute_Mdot(raw, mid)
-        assert np.allclose(M_mid, 0.5 * (compute_Mdot(raw, u1) + compute_Mdot(raw, u2)),
-                           atol=1e-12)
+        M_mid = ref.compute_Mdot(raw, mid)
+        assert np.allclose(M_mid, 0.5 * (ref.compute_Mdot(raw, u1)
+                                         + ref.compute_Mdot(raw, u2)), atol=1e-12)
 
 
 def test_b_is_four_delta_Q_delta():
@@ -135,23 +130,29 @@ def test_Q_is_psd_and_symmetric():
         assert np.min(np.linalg.eigvalsh(Q)) >= -1e-12
 
 
-def test_H_symmetrized_and_single_point_only():
+def test_H_Q_and_ab_match_reference_row_by_row():
     sys, met = curved_system()
     plant = plant_for(sys, met)
     H = compute_H(plant.raw(np.array([0.4, -0.9]), 0.2))
     assert H.shape == (1, 2, 2)
     assert np.array_equal(H[0], H[0].T)
-    batched = plant.raw_batch(np.zeros((3, 2)), 0.0)
-    with pytest.raises(ValueError, match="single-point"):
-        compute_H(batched)
-
-
-def test_differential_data_bundle():
-    sys, met = scalar_counterexample()
-    raw = plant_for(sys, met).raw(np.array([1.0]), 0.0)
-    d = differential_data(raw, np.array([1.0]), np.array([1.0]), lam=0.5)
-    assert d.a == pytest.approx(3.0) and d.b == pytest.approx(4.0)
-    assert d.V == 1.0
-    assert d.A == pytest.approx(np.array([[1.0]]))
-    assert d.H == pytest.approx(np.full((1, 1, 1), 4.0))
-    assert d.Q == pytest.approx(np.array([[1.0]]))
+    rng = np.random.default_rng(43)
+    for sys, met in (curved_system(), two_input_system()[:2]):
+        plant = plant_for(sys, met)
+        X = rng.uniform(-2, 2, size=(3, 4, sys.n))   # two batch axes
+        rb = plant.raw_batch(X, 0.7)
+        H, Q = compute_H(rb), compute_Q(rb)
+        assert H.shape == (3, 4, sys.m, sys.n, sys.n)
+        assert np.array_equal(H, np.swapaxes(H, -1, -2))
+        for i, j in np.ndindex(3, 4):
+            raw = plant.raw(X[i, j], 0.7)
+            scale = 1.0 + np.max(np.abs(ref.compute_H(raw)))
+            np.testing.assert_allclose(H[i, j], ref.compute_H(raw), rtol=0.0,
+                                       atol=1e-12 * scale)
+            np.testing.assert_allclose(Q[i, j], ref.compute_Q(raw), rtol=1e-12,
+                                       atol=1e-15)
+            u, d = rng.uniform(-2, 2, size=sys.m), rng.normal(size=sys.n)
+            a, b = compute_ab(raw, u, d, 0.3)
+            a_ref, b_ref = ref.compute_ab(raw, u, d, 0.3)
+            assert a == pytest.approx(a_ref, rel=1e-12, abs=1e-12)
+            assert b == pytest.approx(b_ref, rel=1e-12, abs=1e-15)

@@ -10,18 +10,15 @@ import numpy as np
 import pytest
 
 from ccmkit.model import (
-    EvalPoint,
     GridSpec,
     NonFiniteEvalError,
     SpecError,
     bundled_spec_path,
     check_metric_bounds,
-    evaluate_raw,
     load_spec,
     load_spec_file,
     metric_evaluator,
     plant_for,
-    raw_slice,
     system_evaluator,
 )
 from conftest import curved_system, grid_of, metric_of, system_of
@@ -142,9 +139,9 @@ def test_grid_points_and_deltas():
 
 def test_raw_shapes_and_slicing():
     sys, met = curved_system()
-    p = EvalPoint(x=np.array([0.3, -0.7]), u=np.array([0.2]), t=0.1,
-                  delta=np.array([1.0, 0.0]))
-    raw = evaluate_raw(sys, met, p)
+    plant = plant_for(sys, met)
+    x = np.array([0.3, -0.7])
+    raw = plant.raw(x, 0.1)
     assert raw.f.shape == (2,)
     assert raw.B.shape == (2, 1)
     assert raw.M.shape == (2, 2)
@@ -152,19 +149,19 @@ def test_raw_shapes_and_slicing():
     assert raw.dBdx.shape == (1, 2, 2)
     assert raw.dMdx.shape == (2, 2, 2)
     assert raw.dMdt.shape == (2, 2)
-    X = np.stack([p.x, 2 * p.x])
-    rb = plant_for(sys, met).raw_batch(X, 0.1)
-    r0 = raw_slice(rb, 0)
-    assert np.array_equal(r0.f, raw.f)
-    assert np.array_equal(r0.dMdx, raw.dMdx)
+    rb = plant.raw_batch(np.stack([x, 2 * x]), 0.1)
+    assert rb.dBdx.shape == (2, 1, 2, 2)
+    assert np.array_equal(rb.f[0], raw.f)
+    assert np.array_equal(rb.dMdx[0], raw.dMdx)
 
 
 def test_raw_rejects_bad_shapes():
     sys, met = curved_system()
+    plant = plant_for(sys, met)
     with pytest.raises(SpecError, match="x has shape"):
-        evaluate_raw(sys, met, EvalPoint(np.zeros(3), np.zeros(1), 0.0, np.zeros(2)))
-    with pytest.raises(SpecError, match="u has shape"):
-        evaluate_raw(sys, met, EvalPoint(np.zeros(2), np.zeros(2), 0.0, np.zeros(2)))
+        plant.raw(np.zeros(3), 0.0)
+    with pytest.raises(SpecError, match="x has shape"):
+        plant.raw(np.zeros((2, 2)), 0.0)     # a batch goes through raw_batch
 
 
 def test_derivative_blocks_match_finite_differences():
@@ -205,16 +202,14 @@ def test_non_finite_flagged_with_entry_name():
     sys = system_of(["1/x1"], [["1"]])
     met = metric_of([["1"]], 1.0, 1.0, 0.5)
     with pytest.raises(NonFiniteEvalError) as ei:
-        evaluate_raw(sys, met, EvalPoint(np.array([0.0]), np.zeros(1), 0.0,
-                                         np.zeros(1)))
+        plant_for(sys, met).raw(np.array([0.0]), 0.0)
     msg = str(ei.value)
     assert "f[0]" in msg and "x=[0.0]" in msg
 
     met_bad = metric_of([["1/(x1 - 1)"]], 1.0, 1.0, 0.5)
     sys_ok = system_of(["-x1"], [["1"]])
     with pytest.raises(NonFiniteEvalError) as ei:
-        evaluate_raw(sys_ok, met_bad, EvalPoint(np.array([1.0]), np.zeros(1), 0.0,
-                                                np.zeros(1)))
+        plant_for(sys_ok, met_bad).raw(np.array([1.0]), 0.0)
     assert "M[0][0]" in str(ei.value)
 
 
@@ -264,16 +259,6 @@ def test_scenario_and_transform_blocks(tmp_path):
     assert sc.horizon == 5.0 and sc.step == 0.01 and sc.segments == 64
     assert len(sf.transform["alpha"]) == 1
     assert len(sf.transform["beta"][0]) == 1
-
-
-def test_xdot():
-    sys, met = curved_system()
-    plant = plant_for(sys, met)
-    x = np.array([0.5, -0.5])
-    u = np.array([2.0])
-    got = plant.xdot(x, u, 0.0)
-    raw = plant.raw(x, 0.0)
-    assert np.allclose(got, raw.f + raw.B @ u, atol=1e-15)
 
 
 def test_plant_cache_lets_specs_be_freed():

@@ -1,11 +1,12 @@
 """The batched grid sweep against the per-point reference functions.
 
-verify, check_contraction, check_condition1, check_strong_conditions and
-invariance_probe all read one stacked pass over the grid.  Here every
-grid point is recomputed with the single-point API (kernel_basis,
-check_orthogonality, check_ccm_point, eps_margin, construct_psi,
-compute_H): flags must match exactly, floats to 1e-12 relative, and the
-summaries must list failures in grid order with their cap of 16.
+verify, check_contraction, check_condition1, check_strong_conditions,
+fit_psi_power_law and invariance_probe all read the verifier's stacked
+stages.  Here every grid point is recomputed with the per-point
+reference of tests/reference.py (kernel_basis, check_orthogonality,
+check_ccm_point, eps_margin, construct_psi, compute_H): flags must match
+exactly, floats to 1e-12 relative, and the summaries must list failures
+in grid order with their cap of 16.
 """
 
 import math
@@ -14,18 +15,21 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from ccmkit.differential import compute_H, compute_Q
-from ccmkit.model import bundled_spec_path, load_spec, plant_for, raw_slice
+import reference as ref
+from ccmkit.model import (
+    NonFiniteEvalError,
+    bundled_spec_path,
+    load_spec,
+    plant_for,
+)
 from ccmkit.verifier import (
     CertificateInvalid,
     _sweep,
-    check_ccm_point,
     check_condition1,
     check_contraction,
-    check_orthogonality,
     check_strong_conditions,
     construct_psi,
-    eps_margin,
+    fit_psi_power_law,
     kernel_basis,
 )
 from conftest import curved_system, grid_of, metric_of, system_of, \
@@ -70,6 +74,17 @@ def _three_state_two_input():
     return sys, met, grid, met.lam
 
 
+def _three_state_one_input():
+    # one input in three states: a two-dimensional kernel everywhere, so
+    # the margin is the larger of two eigenvalues
+    sys = system_of(["x2", "x3 - sin(x1)", "-x1 - x2*x3"],
+                    [["0"], ["0.5*x1"], ["1 + 0.2*x2^2"]])
+    met = metric_of([["2 + 0.5*sin(x1)", "0.1*x3", "0"],
+                     ["2", "0.2"], ["1.5 + 0.3*cos(x2)"]], 0.5, 3.0, 0.4)
+    grid = grid_of([(-1.0, 1.0, 7)] * 3, [[0.0]], t_samples=(0.0, 0.5))
+    return sys, met, grid, met.lam
+
+
 CASES = {
     "counterexample": lambda: _bundled("counterexample"),
     "double-integrator": lambda: _bundled("double-integrator"),
@@ -79,6 +94,7 @@ CASES = {
     "orthogonality-failure": _orthogonality_failure,
     "counterexample-lambda-1.5": lambda: _bundled("counterexample", 1.5),
     "three-state-two-input": _three_state_two_input,
+    "three-state-one-input": _three_state_one_input,
 }
 
 
@@ -96,21 +112,21 @@ def _reference_rows(sys, met, grid, lam):
     for t in grid.t_samples:
         rb = plant.raw_batch(X, float(t))
         for i in range(X.shape[0]):
-            raw = raw_slice(rb, i)
-            H = compute_H(raw)
-            N = kernel_basis(raw.M @ raw.B)
+            raw = ref.raw_slice(rb, i)
+            H = ref.compute_H(raw)
+            N = ref.kernel_basis(raw.M @ raw.B)
             row = {"x": X[i].tolist(), "t": float(t),
                    "h_norm": max(float(np.linalg.norm(Hi)) for Hi in H),
-                   "vacuous": N.shape[1] == 0, "eps": eps_margin(raw.M),
+                   "vacuous": N.shape[1] == 0, "eps": ref.eps_margin(raw.M),
                    "margin": math.nan, "orth_ok": True, "orth_residual": 0.0}
             if N.shape[1]:
-                orth = check_orthogonality(H, N)
-                row.update(margin=check_ccm_point(raw, lam), orth_ok=orth.passed,
+                orth = ref.check_orthogonality(H, N)
+                row.update(margin=ref.check_ccm_point(raw, lam), orth_ok=orth.passed,
                            orth_residual=orth.residual)
             try:
-                cert = construct_psi(compute_Q(raw), H)
+                cert = ref.construct_psi(ref.compute_Q(raw), H)
                 row.update(valid=True, psi=cert.psi, cert_residual=cert.residual)
-            except CertificateInvalid as err:
+            except ref.CertificateInvalid as err:
                 row.update(valid=False, psi=math.nan, cert_residual=err.residual)
             rows.append(row)
     return rows
@@ -212,3 +228,81 @@ def test_capped_lists_on_the_curved_grid():
     assert sum(not r["valid"] for r in rows) == c1.invalid_count == 5040
     assert len(c.failures) == 16 and len(c1.invalid_examples) == 16
     assert {f["t"] for f in c.failures} == {0.0}
+
+
+@pytest.mark.parametrize("name", ["counterexample", "curved-41x41-3t",
+                                  "orthogonality-failure",
+                                  "three-state-two-input"])
+def test_one_point_calls_match_point_functions(name):
+    # kernel_basis and construct_psi are one-point calls into the stages
+    sys, met, grid, _lam, _rows = _case(name)
+    rb = plant_for(sys, met).raw_batch(grid.x_points(), float(grid.t_samples[-1]))
+    for i in range(rb.f.shape[0]):
+        raw = ref.raw_slice(rb, i)
+        MB = raw.M @ raw.B
+        np.testing.assert_allclose(kernel_basis(MB), ref.kernel_basis(MB),
+                                   rtol=RTOL, atol=0.0)
+        H, Q = ref.compute_H(raw), ref.compute_Q(raw)
+        try:
+            want = ref.construct_psi(Q, H)
+        except ref.CertificateInvalid as err:
+            with pytest.raises(CertificateInvalid) as got:
+                construct_psi(Q, H)
+            assert str(got.value) == str(err)
+            assert got.value.residual == pytest.approx(err.residual, rel=RTOL)
+            continue
+        got = construct_psi(Q, H)
+        for f in ("Vtilde", "Dtilde", "Htilde"):
+            np.testing.assert_allclose(getattr(got, f), getattr(want, f),
+                                       rtol=RTOL, atol=0.0, err_msg=f)
+        assert got.psi == pytest.approx(want.psi, rel=RTOL, abs=0.0)
+        assert got.residual == pytest.approx(want.residual, rel=RTOL, abs=0.0)
+
+
+def _ray(rows):
+    """The ray check_condition1 fits along: through the invalid point
+    nearest the origin (the first one on ties), else the largest psi."""
+    off = [r for r in rows if not r["valid"] and any(r["x"])]
+    if off:
+        return min(off, key=lambda r: np.linalg.norm(r["x"]))
+    return max((r for r in rows if r["valid"]), key=lambda r: r["psi"])
+
+
+@pytest.mark.parametrize("name", ["counterexample", "curved-41x41-3t",
+                                  "bounded-gain", "two-input",
+                                  "double-integrator"])
+def test_power_law_fit_matches_point_loop(name):
+    sys, met, _grid, _lam, rows = _case(name)
+    r = _ray(rows)
+    for scales in (None, np.array([0.5, 0.25, 0.125, 1e-3, 1e-4]),
+                   np.array([0.5]), np.array([])):
+        want = ref.fit_psi_power_law(sys, met, np.array(r["x"]), r["t"], scales)
+        got = fit_psi_power_law(sys, met, np.array(r["x"]), r["t"], scales)
+        assert got.scales == want.scales
+        _same(got.to_dict(), want.to_dict(), "fit")
+
+
+def test_non_finite_flagged_once_on_the_stacked_batch():
+    # 1/x1 is infinite at the middle of the 5-point grid; the error names
+    # the entry without the batch index and gives that point, not the grid
+    grid = grid_of([(-1.0, 1.0, 5)], [[0.0]], t_samples=(0.25, 0.5))
+    met = metric_of([["1"]], 1.0, 1.0, 0.5)
+    sys = system_of(["-x1 + 1/x1"], [["1"]])
+    with pytest.raises(NonFiniteEvalError,
+                       match=r"entry f\[0\] at x=\[0\.0\], t=0\.25$"):
+        _sweep(sys, met, grid, 0.5)
+    # M and B both degenerate at 0: M is named, not an SVD failure
+    sys = system_of(["-x1"], [["x1^2"]])
+    with pytest.raises(NonFiniteEvalError, match=r"entry M\[0\]\[0\] at x=\[0\.0\]"):
+        _sweep(sys, metric_of([["1 + 1/x1^2"]], 1.0, 1.0, 0.5), grid, 0.5)
+    # the first offending point in grid order carries its own t
+    sys = system_of(["-x1"], [["1/(x1 - t)"]])
+    with pytest.raises(NonFiniteEvalError,
+                       match=r"entry B\[0\]\[0\] at x=\[0\.5\], t=0\.5$"):
+        _sweep(sys, met, grid, 0.5)
+    # the power-law probe flags the points of its ray the same way
+    sys = system_of(["-x1"], [["x1^2"]])
+    with pytest.raises(NonFiniteEvalError,
+                       match=r"entry M\[0\]\[0\] at x=\[0\.25\], t=0\.0$"):
+        fit_psi_power_law(sys, metric_of([["1 + 1/(x1 - 0.25)"]], 1.0, 1.0, 0.5),
+                          np.array([2.0]), scales=np.array([0.5, 0.25, 0.125]))

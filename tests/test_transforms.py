@@ -195,7 +195,7 @@ def test_feedback_transform_identity():
 
 
 def test_feedback_transform_from_spec(tmp_path):
-    base = json.load(open(bundled_spec_path("counterexample")))
+    base = json.loads(bundled_spec_path("counterexample").read_text())
     base["transform"] = {"alpha": ["-x1"], "beta": [["2"]]}
     p = tmp_path / "ce_t.json"
     p.write_text(json.dumps(base))

@@ -2,7 +2,8 @@
 
 Certificate psi values are cross-checked against brute-force ratio
 maximization over tangent samples, and the kernel margins against
-hand-derived closed forms.
+hand-derived closed forms, both for the per-point reference of
+tests/reference.py and for the stacked sweep at the same point.
 """
 
 import json
@@ -11,22 +12,26 @@ import math
 import numpy as np
 import pytest
 
+import reference as ref
 from ccmkit.differential import compute_H, compute_Q
 from ccmkit.model import bundled_spec_path, load_spec, plant_for
 from ccmkit.verifier import (
     CertificateInvalid,
-    check_ccm_point,
+    _sweep,
     check_condition1,
     check_contraction,
-    check_orthogonality,
     check_strong_conditions,
     construct_psi,
-    eps_margin,
     fit_psi_power_law,
     kernel_basis,
     verify,
 )
 from conftest import grid_of, metric_of, scalar_counterexample, system_of
+
+
+def _at_point(sys, met, x, lam):
+    """The stacked sweep on a grid of the single point x."""
+    return _sweep(sys, met, grid_of([(v, v, 1) for v in x], [[0.0] * sys.m]), lam)
 
 
 def test_kernel_basis_cases():
@@ -49,16 +54,21 @@ def test_kernel_basis_cases():
 def test_orthogonality_check():
     N = np.array([[0.0], [1.0]])
     H_ok = np.array([[[0.0, 1.0], [1.0, 0.0]]])
-    res = check_orthogonality(H_ok, N)
+    res = ref.check_orthogonality(H_ok, N)
     assert res.passed and res.residual <= 1e-15
 
     H_bad = np.array([[[0.0, 0.0], [0.0, 2.0]]])
-    res = check_orthogonality(H_bad, N)
+    res = ref.check_orthogonality(H_bad, N)
     assert not res.passed
     assert res.residual == pytest.approx(2.0)
 
     empty = np.zeros((2, 0))
-    assert check_orthogonality(H_bad, empty).passed
+    assert ref.check_orthogonality(H_bad, empty).passed
+
+    # the sweep at B = (1, x2)', x = 0: kernel e2, H_0 = [[0, 1], [1, 2]]
+    sys = system_of(["0", "0"], [["1"], ["x2"]])
+    sw = _at_point(sys, metric_of([["1", "0"], ["1"]], 1.0, 1.0, 0.5), [0.0, 0.0], 0.5)
+    assert not sw.orth_ok[0] and sw.orth_residual[0] == pytest.approx(2.0)
 
 
 def test_psi_certificate_worked_values():
@@ -153,12 +163,14 @@ def test_ccm_point_margins():
     sys, met = scalar_counterexample()
     plant = plant_for(sys, met)
     # kernel at the origin is the whole line: margin = 2 lambda - 2
-    assert check_ccm_point(plant.raw(np.array([0.0]), 0.0), 0.5) == pytest.approx(
-        -1.0, abs=1e-14)
-    assert check_ccm_point(plant.raw(np.array([0.0]), 0.0), 1.5) == pytest.approx(
-        1.0, abs=1e-14)
+    for lam, want in ((0.5, -1.0), (1.5, 1.0)):
+        assert ref.check_ccm_point(plant.raw(np.array([0.0]), 0.0), lam) == \
+            pytest.approx(want, abs=1e-14)
+        assert _at_point(sys, met, [0.0], lam).margin[0] == pytest.approx(
+            want, abs=1e-14)
     # elsewhere the input spans everything: vacuous
-    assert check_ccm_point(plant.raw(np.array([0.7]), 0.0), 0.5) == -math.inf
+    assert ref.check_ccm_point(plant.raw(np.array([0.7]), 0.0), 0.5) == -math.inf
+    assert math.isnan(_at_point(sys, met, [0.7], 0.5).margin[0])
 
 
 def test_ccm_point_double_integrator_closed_form():
@@ -167,12 +179,18 @@ def test_ccm_point_double_integrator_closed_form():
     raw = plant_for(sysd, metd).raw(np.array([0.3, -1.2]), 0.0)
     # N ~ (sqrt(3), -1)/2, N'(A'M + MA)N = -1, N'MN = sqrt(3)/2
     want = lam * math.sqrt(3.0) - 1.0
-    assert check_ccm_point(raw, lam) == pytest.approx(want, abs=1e-12)
+    assert ref.check_ccm_point(raw, lam) == pytest.approx(want, abs=1e-12)
+    assert _at_point(sysd, metd, [0.3, -1.2], lam).margin[0] == pytest.approx(
+        want, abs=1e-12)
 
 
 def test_eps_margin_scales_with_metric():
-    assert eps_margin(np.eye(1)) == pytest.approx(2e-7)
-    assert eps_margin(np.diag([1.0, 9.0])) == pytest.approx(1e-6)
+    assert ref.eps_margin(np.eye(1)) == pytest.approx(2e-7)
+    assert ref.eps_margin(np.diag([1.0, 9.0])) == pytest.approx(1e-6)
+    sys = system_of(["0", "0"], [["1"], ["0"]])
+    for M, want in (([["1", "0"], ["1"]], 2e-7), ([["1", "0"], ["9"]], 1e-6)):
+        sw = _at_point(sys, metric_of(M, 1.0, 9.0, 0.5), [0.0, 0.0], 0.5)
+        assert sw.eps[0] == pytest.approx(want)
 
 
 def test_contraction_sweep_counterexample():
