@@ -103,10 +103,11 @@ def _apply_overrides(sf: SpecFile, args) -> SpecFile:
                         ("--step", args.step)):
         if value is not None and not (math.isfinite(value) and value > 0):
             raise SpecError(f"{flag} must be positive and finite")
-    for flag, value in (("--grid-density", args.grid_density),
-                        ("--segments", args.segments)):
-        if value is not None and value < 1:
-            raise SpecError(f"{flag} must be >= 1")
+    for flag, value, least in (("--grid-density", args.grid_density, 1),
+                               ("--segments", args.segments, 1),
+                               ("--seed", args.seed, 0)):
+        if value is not None and value < least:
+            raise SpecError(f"{flag} must be >= {least}")
     if args.lam is not None:
         sf.metric.lam = args.lam
     if args.grid_density is not None:

@@ -32,7 +32,7 @@ import numpy as np
 # compute_ab is not used here; it stays importable from this module because
 # perfbench/tracer.py patches it under this name
 from .differential import compute_ab, feedback_terms  # noqa: F401
-from .model import MetricSpec, RawEval, SystemSpec, metric_evaluator, plant_for
+from .model import MetricSpec, RawEval, SystemSpec, plant_for
 
 B_FLOOR = 1e-12
 
@@ -109,7 +109,7 @@ def path_energy(nodes: np.ndarray, met: MetricSpec, t: float = 0.0) -> float:
         return 0.0
     diffs = nodes[1:] - nodes[:-1]
     mids = 0.5 * (nodes[1:] + nodes[:-1])
-    Mm = metric_evaluator(met).M(mids, t)
+    (Mm,) = met.eval_M(mids, t)
     terms = np.einsum("si,sij,sj->s", diffs, Mm, diffs)
     return float(np.sum(terms) * segments)
 
@@ -117,12 +117,10 @@ def path_energy(nodes: np.ndarray, met: MetricSpec, t: float = 0.0) -> float:
 def _energy_gradient(nodes: np.ndarray, met: MetricSpec, t: float) -> np.ndarray:
     """Exact gradient of the discrete energy with respect to every node
     (interior rows are what refinement uses)."""
-    ev = metric_evaluator(met)
     segments = nodes.shape[0] - 1
     diffs = nodes[1:] - nodes[:-1]
     mids = 0.5 * (nodes[1:] + nodes[:-1])
-    Mm = ev.M(mids, t)
-    dMm = ev.dMdx(mids, t)
+    Mm, dMm, _ = met.eval_raw(mids, t)
     base = 2.0 * segments * np.einsum("sij,sj->si", Mm, diffs)
     quad = 0.5 * segments * np.einsum("si,saij,sj->sa", diffs, dMm, diffs)
     g = np.zeros_like(nodes)
@@ -146,8 +144,7 @@ def build_path(x_star: np.ndarray, x: np.ndarray, met: MetricSpec,
     if np.array_equal(a, b):
         return PathDiscretization(nodes=nodes, energy=0.0)
     energy = path_energy(nodes, met, t)
-    ev = metric_evaluator(met)
-    if ev.constant or cfg.geodesic_iterations <= 0 or cfg.path_segments < 2:
+    if met.constant or cfg.geodesic_iterations <= 0 or cfg.path_segments < 2:
         return PathDiscretization(nodes=nodes, energy=energy)
 
     for _ in range(cfg.geodesic_iterations):

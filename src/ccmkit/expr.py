@@ -236,11 +236,14 @@ def _parse_atom(tz: _Tokenizer) -> Expression:
 
 _NP_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh}
 
+# np.errstate arguments for IEEE semantics: 1/0 -> inf, 0/0 -> nan, silently
+IEEE = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
+
 
 def evaluate(e: Expression, bindings: dict[str, float]) -> float:
     """Evaluate at a variable binding.  IEEE semantics inside (1/0 -> inf,
     0/0 -> nan); a non-finite final value raises NonFiniteError."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(**IEEE):
         v = float(_eval(e, bindings))
     if not math.isfinite(v):
         raise NonFiniteError(f"non-finite value {v!r} for {to_text(e)!r}")
@@ -357,7 +360,8 @@ def power(a: Expression, k: int) -> Expression:
     if k == 1:
         return a
     if isinstance(a, Num):
-        return Num(float(np.power(np.float64(a.value), k)))
+        with np.errstate(**IEEE):
+            return Num(float(np.power(np.float64(a.value), k)))
     return Pow(a, k)
 
 
@@ -473,9 +477,11 @@ def _wrap(e: Expression, min_prec: float) -> str:
 
 def to_python_source(e: Expression, names: dict[str, str]) -> str:
     """Emit a python source fragment; ``names`` maps variable names to the
-    code that loads them (e.g. ``x1 -> X[..., 0]``)."""
-    if isinstance(e, Num):
-        return repr(e.value)
+    code that loads them (e.g. ``x1 -> X[..., 0]``).  A subtree free of
+    variables is folded to its IEEE value (``_eval``), so the fragment
+    runs no Python-float arithmetic; call it under ``np.errstate(**IEEE)``."""
+    if not free_variables(e):
+        return repr(float(_eval(e, {})))
     if isinstance(e, Var):
         try:
             return names[e.name]
@@ -494,33 +500,40 @@ def to_python_source(e: Expression, names: dict[str, str]) -> str:
     raise TypeError(f"not an Expression: {e!r}")
 
 
-def compile_matrix(entries, n: int):
-    """Compile a rectangular table of Expressions into one vectorized callable.
+def compile_matrix(tables, n: int):
+    """Compile tables of Expressions into one vectorized callable.
 
-    entries: list of rows of Expression; returns fn(X, T) -> array of
-    shape X.shape[:-1] + (rows, cols).  X has trailing axis n; T is a scalar
-    or an array broadcastable against X.shape[:-1].  Division by zero and
-    overflow follow IEEE inside (callers flag non-finite output).
+    Each table is an Expression or a list of them nested to any depth
+    (a vector, a matrix, a stack of matrices).  Returns fn(X, T) -> one
+    array per table, shaped X.shape[:-1] + the table's shape.  X has
+    trailing axis n; T is a scalar or an array broadcastable against
+    X.shape[:-1], and a scalar T gives bitwise the same values as an
+    array of it.  Division by zero and overflow follow IEEE inside
+    (callers flag non-finite output).  fn.source holds the generated code.
     """
-    rows = len(entries)
-    cols = len(entries[0]) if rows else 0
-    names = {"t": "T"}
-    for i in range(n):
-        names[f"x{i + 1}"] = f"X[..., {i}]"
-    lines = ["def _fn(X, T):"]
-    lines.append(f"    out = np.empty(np.shape(X)[:-1] + ({rows}, {cols}))")
-    for i, row in enumerate(entries):
-        if len(row) != cols:
-            raise ValueError("ragged expression table")
-        for j, e in enumerate(row):
-            lines.append(f"    out[..., {i}, {j}] = {to_python_source(e, names)}")
-    lines.append("    return out")
-    namespace = {"np": np}
-    exec(compile("\n".join(lines), "<ccmkit-compiled>", "exec"), namespace)
-    raw_fn = namespace["_fn"]
-
-    def fn(X, T):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return raw_fn(np.asarray(X, dtype=float), T)
-    fn.source = "\n".join(lines)
+    names = {"t": "T", **{f"x{i + 1}": f"X[..., {i}]" for i in range(n)}}
+    lines = ["def _fn(X, T):",
+             "    X = np.asarray(X, dtype=float)",
+             # never a 0-d T: numpy scalars take other (libm) code paths
+             "    T = np.array(T, dtype=float, ndmin=1)",
+             "    lead = X.shape[:-1]",
+             "    with np.errstate(**IEEE):"]
+    outs = []
+    with np.errstate(**IEEE):
+        for k, table in enumerate(tables):
+            cells = np.array(table, dtype=object)
+            if not all(isinstance(e, Expression) for e in cells.flat):
+                raise ValueError("ragged expression table")
+            lines.append(f"        o{k} = np.zeros(lead + {cells.shape!r})")
+            for index, e in np.ndenumerate(cells):
+                code = to_python_source(e, names)
+                if code != "0.0":
+                    lines.append(f"        o{k}[..., {', '.join(map(str, index))}] = {code}")
+            outs.append(f"o{k}")
+    lines.append(f"    return {', '.join(outs)},")
+    source = "\n".join(lines)
+    namespace = {"np": np, "IEEE": IEEE, "inf": math.inf, "nan": math.nan}
+    exec(compile(source, "<ccmkit-compiled>", "exec"), namespace)
+    fn = namespace["_fn"]
+    fn.source = source
     return fn

@@ -17,9 +17,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -45,21 +45,62 @@ class NonFiniteEvalError(Exception):
     """Raw evaluation produced inf or nan; message names the entry."""
 
 
-@dataclass(eq=False)             # identity semantics, usable as a cache key
+def _xvars(n: int) -> list[str]:
+    return [f"x{i + 1}" for i in range(n)]
+
+
+@dataclass(eq=False)             # identity semantics
 class SystemSpec:
+    """Dynamics f + B u.  The compiled functions are built on first use
+    and take (X, T) as expr.compile_matrix describes."""
+
     n: int
     m: int
     f: list[Expression]          # length n, variables x1..xn and t
     B: list[list[Expression]]    # n rows, m columns
 
+    @cached_property
+    def eval_fB(self):
+        """(X, T) -> (f, B): what an RK4 stage needs."""
+        return compile_matrix([self.f, self.B], self.n)
+
+    @cached_property
+    def eval_raw(self):
+        """(X, T) -> (f, B, df/dx, dB/dx) with dfdx[..., i, j] = d f_i/d x_j
+        and dBdx[..., i] the Jacobian of column i of B."""
+        xv = _xvars(self.n)
+        dBdx = [jacobian([row[i] for row in self.B], xv) for i in range(self.m)]
+        return compile_matrix([self.f, self.B, jacobian(self.f, xv), dBdx], self.n)
+
 
 @dataclass(eq=False)
 class MetricSpec:
+    """Candidate metric M with its claimed bounds and rate; compiled
+    functions as on SystemSpec."""
+
     n: int
     M: list[list[Expression]]    # n x n, mirrored from the upper triangle
     alpha1: float
     alpha2: float
     lam: float                   # claimed contraction rate
+
+    @cached_property
+    def eval_M(self):
+        """(X, T) -> (M,)."""
+        return compile_matrix([self.M], self.n)
+
+    @cached_property
+    def eval_raw(self):
+        """(X, T) -> (M, dM/dx, dM/dt) with dMdx[..., k, :, :] = d M / d x_k."""
+        dMdx = [[[expr.differentiate(e, v) for e in row] for row in self.M]
+                for v in _xvars(self.n)]
+        dMdt = [[expr.differentiate(e, "t") for e in row] for row in self.M]
+        return compile_matrix([self.M, dMdx, dMdt], self.n)
+
+    @cached_property
+    def constant(self) -> bool:
+        """No entry of M depends on x or t."""
+        return not any(free_variables(e) for row in self.M for e in row)
 
 
 @dataclass
@@ -77,6 +118,12 @@ class GridSpec:
         axes = [np.linspace(lo, hi, count) for lo, hi, count in self.x_ranges]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    def samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every grid (x, t), t samples outermost: points (P, n), times (P,)."""
+        X = self.x_points()
+        ts = np.asarray(self.t_samples, dtype=float)
+        return np.tile(X, (ts.size, 1)), np.repeat(ts, X.shape[0])
 
     def deltas(self, n: int) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -356,87 +403,19 @@ def bundled_spec_path(name: str) -> Path:
 # ---------------------------------------------------------------------------
 # compiled evaluation
 
-class _MetricEval:
-    def __init__(self, met: MetricSpec):
-        n = met.n
-        xv = [f"x{i + 1}" for i in range(n)]
-        self.n = n
-        self.M = compile_matrix(met.M, n)
-        dmdx_rows = [[expr.differentiate(met.M[i][j], xv[k]) for j in range(n)]
-                     for k in range(n) for i in range(n)]
-        self._dMdx = compile_matrix(dmdx_rows, n)
-        self.dMdt = compile_matrix(
-            [[expr.differentiate(met.M[i][j], "t") for j in range(n)] for i in range(n)], n
-        )
-        self.constant = all(
-            not free_variables(met.M[i][j]) for i in range(n) for j in range(i, n)
-        )
-
-    def dMdx(self, X, T):
-        out = self._dMdx(X, T)
-        return out.reshape(out.shape[:-2] + (self.n, self.n, self.n))
-
-
-class _SystemEval:
-    def __init__(self, sys: SystemSpec):
-        n, m = sys.n, sys.m
-        xv = [f"x{i + 1}" for i in range(n)]
-        self.n, self.m = n, m
-        self._f = compile_matrix([[e] for e in sys.f], n)
-        self.B = compile_matrix(sys.B, n)
-        self.dfdx = compile_matrix(jacobian(sys.f, xv), n)
-        dbdx_rows = [[expr.differentiate(sys.B[k][i], xv[j]) for j in range(n)]
-                     for i in range(m) for k in range(n)]
-        self._dBdx = compile_matrix(dbdx_rows, n)
-
-    def f(self, X, T):
-        return self._f(X, T)[..., :, 0]
-
-    def dBdx(self, X, T):
-        out = self._dBdx(X, T)
-        return out.reshape(out.shape[:-2] + (self.m, self.n, self.n))
-
-
-_METRIC_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-_SYSTEM_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def metric_evaluator(met: MetricSpec) -> _MetricEval:
-    ev = _METRIC_CACHE.get(met)
-    if ev is None:
-        ev = _MetricEval(met)
-        _METRIC_CACHE[met] = ev
-    return ev
-
-
-def system_evaluator(sys: SystemSpec) -> _SystemEval:
-    ev = _SYSTEM_CACHE.get(sys)
-    if ev is None:
-        ev = _SystemEval(sys)
-        _SYSTEM_CACHE[sys] = ev
-    return ev
-
-
 class Plant:
     """Compiled (system, metric) pair; the workhorse behind the verifier
     sweep, the controller's path loop and single-point evaluation.
 
-    It keeps no reference to the specs: plant_for caches it under weak
-    keys on them, and a strong reference would keep them alive forever."""
+    It holds the two specs' raw functions, not the specs: each spec owns
+    its compiled functions and frees them with itself."""
 
     def __init__(self, sys: SystemSpec, met: MetricSpec):
         if sys.n != met.n:
             raise SpecError(f"system has n={sys.n} but metric has n={met.n}")
-        self.sys_ev = system_evaluator(sys)
-        self.met_ev = metric_evaluator(met)
-
-    @property
-    def n(self) -> int:
-        return self.sys_ev.n
-
-    @property
-    def m(self) -> int:
-        return self.sys_ev.m
+        self.n, self.m = sys.n, sys.m
+        self._sys_raw = sys.eval_raw
+        self._met_raw = met.eval_raw
 
     def raw(self, x: np.ndarray, t: float) -> RawEval:
         """f, B, M and their derivative blocks at one point x of shape
@@ -449,27 +428,13 @@ class Plant:
         return r
 
     def raw_batch(self, X: np.ndarray, t) -> RawEval:
-        se, me = self.sys_ev, self.met_ev
-        return RawEval(
-            f=se.f(X, t), B=se.B(X, t), M=me.M(X, t),
-            dfdx=se.dfdx(X, t), dBdx=se.dBdx(X, t),
-            dMdx=me.dMdx(X, t), dMdt=me.dMdt(X, t),
-        )
-
-
-_PLANT_CACHE: WeakKeyDictionary = WeakKeyDictionary()
+        f, B, dfdx, dBdx = self._sys_raw(X, t)
+        M, dMdx, dMdt = self._met_raw(X, t)
+        return RawEval(f=f, B=B, M=M, dfdx=dfdx, dBdx=dBdx, dMdx=dMdx, dMdt=dMdt)
 
 
 def plant_for(sys: SystemSpec, met: MetricSpec) -> Plant:
-    inner = _PLANT_CACHE.get(sys)
-    if inner is None:
-        inner = WeakKeyDictionary()
-        _PLANT_CACHE[sys] = inner
-    plant = inner.get(met)
-    if plant is None:
-        plant = Plant(sys, met)
-        inner[met] = plant
-    return plant
+    return Plant(sys, met)
 
 
 _ENTRY_LABELS = (("f", "f"), ("B", "B"), ("M", "M"), ("dfdx", "df/dx"),
@@ -531,23 +496,18 @@ def check_metric_bounds(met: MetricSpec, grid: GridSpec,
     Passes iff min eig >= alpha1 - tol and max eig <= alpha2 + tol at
     every grid (x, t).
     """
-    ev = metric_evaluator(met)
-    X = grid.x_points()
-    best_min = math.inf
-    best_max = -math.inf
-    argmin: dict = {}
-    argmax: dict = {}
-    for t in grid.t_samples:
-        eigs = np.linalg.eigvalsh(ev.M(X, float(t)))
-        lo = eigs[:, 0]
-        hi = eigs[:, -1]
-        i_lo = int(np.argmin(lo))
-        i_hi = int(np.argmax(hi))
-        if lo[i_lo] < best_min:
-            best_min = float(lo[i_lo])
-            argmin = {"x": X[i_lo].tolist(), "t": float(t)}
-        if hi[i_hi] > best_max:
-            best_max = float(hi[i_hi])
-            argmax = {"x": X[i_hi].tolist(), "t": float(t)}
-    passed = best_min >= met.alpha1 - tol and best_max <= met.alpha2 + tol
-    return MetricBoundsResult(passed, best_min, best_max, argmin, argmax, tol)
+    x, t = grid.samples()
+    (M,) = met.eval_M(x, t)
+    eigs = np.linalg.eigvalsh(M)
+    return metric_bounds(met, eigs[:, 0], eigs[:, -1], x, t, tol)
+
+
+def metric_bounds(met: MetricSpec, lo: np.ndarray, hi: np.ndarray, x: np.ndarray,
+                  t: np.ndarray, tol: float = METRIC_BOUNDS_TOL) -> MetricBoundsResult:
+    """Summarize each sample's lowest and highest eigenvalue of M against
+    the claimed bounds; argmin and argmax name the first extreme sample."""
+    i, j = int(np.argmin(lo)), int(np.argmax(hi))
+    passed = bool(lo[i] >= met.alpha1 - tol and hi[j] <= met.alpha2 + tol)
+    return MetricBoundsResult(passed, float(lo[i]), float(hi[j]),
+                              {"x": x[i].tolist(), "t": float(t[i])},
+                              {"x": x[j].tolist(), "t": float(t[j])}, tol)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import ControllerConfig, Infeasible, tracking_feedback
-from .model import MetricSpec, SystemSpec, metric_evaluator, system_evaluator
+from .model import MetricSpec, SystemSpec
 
 RATE_FIT_WINDOW = 0.8       # trailing fraction of the horizon used for the fit
 RATE_SLACK = 0.95           # fitted rate must reach this fraction of lambda
@@ -47,13 +47,14 @@ def _as_callable(v, length: int):
     return lambda _t: arr
 
 
-def _rk4_step(se, x: np.ndarray, t: float, h: float, u0: np.ndarray,
+def _rk4_step(sys: SystemSpec, x: np.ndarray, t: float, h: float, u0: np.ndarray,
               um: np.ndarray, u1: np.ndarray) -> np.ndarray:
     """One classic RK4 step of dx/dt = f + B u; u0, um and u1 are the
     inputs at t, t + h/2 and t + h."""
 
     def xdot(xx, uu, tt):
-        return se.f(xx, tt) + se.B(xx, tt) @ uu
+        f, B = sys.eval_fB(xx, tt)
+        return f + B @ uu
 
     k1 = xdot(x, u0, t)
     k2 = xdot(x + 0.5 * h * k1, um, t + 0.5 * h)
@@ -69,7 +70,6 @@ def integrate(sys: SystemSpec, u_of_t, x0: np.ndarray, t0: float = 0.0,
     u_of_t may be a callable t -> u or a constant vector.  Raises
     NonFiniteStateError the moment the state goes non-finite.
     """
-    se = system_evaluator(sys)
     u_fn = _as_callable(u_of_t, sys.m)
     steps = max(1, int(round(horizon / step)))
     h = horizon / steps
@@ -84,7 +84,7 @@ def integrate(sys: SystemSpec, u_of_t, x0: np.ndarray, t0: float = 0.0,
         inputs[k] = u0
         um = np.asarray(u_fn(t + 0.5 * h), dtype=float)
         u1 = np.asarray(u_fn(t + h), dtype=float)
-        x = _rk4_step(se, x, t, h, u0, um, u1)
+        x = _rk4_step(sys, x, t, h, u0, um, u1)
         if not np.isfinite(x).all():
             raise NonFiniteStateError(float(times[k + 1]))
     states[-1] = x
@@ -133,7 +133,7 @@ def _target_states(traj: Trajectory, x_star, n: int) -> np.ndarray:
 
 def _cost(traj: Trajectory, xs: np.ndarray, met: MetricSpec) -> np.ndarray:
     e = traj.states - xs
-    M = metric_evaluator(met).M(xs, traj.times)
+    (M,) = met.eval_M(xs, traj.times)
     return ((e[:, None, :] @ M) @ e[:, :, None])[:, 0, 0]
 
 
@@ -197,7 +197,6 @@ def simulate_closed_loop(sys: SystemSpec, met: MetricSpec, cfg: ControllerConfig
     aborts stop the run; the report carries the time and the returned
     trajectory holds the prefix that was completed.
     """
-    se = system_evaluator(sys)
     x_fn = _as_callable(x_star, sys.n)
     u_fn = _as_callable(u_star, sys.m)
 
@@ -234,7 +233,7 @@ def simulate_closed_loop(sys: SystemSpec, met: MetricSpec, cfg: ControllerConfig
             infeasible_msg = str(err)
             break
         inputs.append(u)
-        x = _rk4_step(se, x, t, h, u, u, u)
+        x = _rk4_step(sys, x, t, h, u, u, u)
         if not np.isfinite(x).all():
             abort_time = float(times[k + 1])
             break

@@ -20,7 +20,8 @@ verifies the transported bound and margin coherence pointwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -142,27 +143,21 @@ class FeedbackTransform:
     n: int
     alpha: list                       # m Expressions
     beta: list                        # m x m Expressions
-    _alpha_fn: object = field(default=None, repr=False, compare=False)
-    _beta_fn: object = field(default=None, repr=False, compare=False)
 
     @property
     def m(self) -> int:
         return len(self.alpha)
 
-    def _compiled(self):
-        if self._beta_fn is None:
-            self._alpha_fn = expr.compile_matrix([[e] for e in self.alpha], self.n)
-            self._beta_fn = expr.compile_matrix(self.beta, self.n)
-        return self._alpha_fn, self._beta_fn
+    @cached_property
+    def _eval_ab(self):
+        return expr.compile_matrix([self.alpha, self.beta], self.n)
 
     def at(self, x: np.ndarray, t=0.0):
         """(alpha, beta, kappa, gamma) at a point, or at each row of a
         stack of points (t broadcast against the rows); raises ValueError
         at the first point where beta is singular (|det| <= 1e-12 or
         gamma <= 0)."""
-        alpha_fn, beta_fn = self._compiled()
-        a = alpha_fn(x, t)[..., :, 0]
-        b = beta_fn(x, t)
+        a, b = self._eval_ab(x, t)
         det = np.linalg.det(b)
         kappa = np.max(np.sum(np.abs(b), axis=-1), axis=-1)
         gamma = np.min(np.linalg.eigvalsh(b @ np.swapaxes(b, -1, -2)), axis=-1)

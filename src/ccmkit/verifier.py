@@ -19,7 +19,7 @@ domain; a pass certifies the grid, never the whole state space):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,9 +31,13 @@ from .model import (
     RawEval,
     SystemSpec,
     _flag_non_finite,
-    check_metric_bounds,
+    check_metric_bounds,  # noqa: F401
+    metric_bounds,
     plant_for,
 )
+
+# check_metric_bounds is not used here; it stays importable from this module
+# because perfbench/tracer.py patches it under this name
 
 TAU_RANK = 1e-9      # relative singular-value cutoff for ker (MB)'
 TAU_EIG = 1e-8       # relative eigenvalue cutoff for range Q
@@ -225,6 +229,8 @@ class _Sweep:
     raw: RawEval               # the stacked raw batch
     H: np.ndarray              # (P, m, n, n) compute_H at every point
     margin: np.ndarray         # kernel margin, NaN where the kernel is empty
+    eig_lo: np.ndarray         # lowest eigenvalue of M
+    eig_hi: np.ndarray         # highest eigenvalue of M
     eps: np.ndarray            # margin strictness 1e-7 (1 + ||M||_2)
     orth_residual: np.ndarray  # max_i ||N' H_i N||_F, 0 where the kernel is empty
     orth_ok: np.ndarray
@@ -235,15 +241,10 @@ class _Sweep:
 
 
 def _sweep(sys: SystemSpec, met: MetricSpec, grid: GridSpec, lam: float) -> _Sweep:
-    """Every pointwise check at every grid point: one raw batch per t
-    sample, stacked in grid order, flagged for non-finite entries, then
-    checked in one pass."""
-    X = grid.x_points()
-    ts = [float(t) for t in grid.t_samples]
-    parts = [plant_for(sys, met).raw_batch(X, t) for t in ts]
-    rb = parts[0] if len(parts) == 1 else RawEval(
-        *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(RawEval)))
-    x, t = np.tile(X, (len(ts), 1)), np.repeat(ts, X.shape[0])
+    """Every pointwise check at every grid point: one raw batch over the
+    whole grid, flagged for non-finite entries, then checked in one pass."""
+    x, t = grid.samples()
+    rb = plant_for(sys, met).raw_batch(x, t)
     _flag_non_finite(rb, x, t)
     P, n = rb.f.shape
     M = rb.M
@@ -254,8 +255,10 @@ def _sweep(sys: SystemSpec, met: MetricSpec, grid: GridSpec, lam: float) -> _Swe
     S = Mdot0 + MA + _T(MA) + 2.0 * lam * M
     margin, orth_residual, orth_ok = _kernel_checks(M @ rb.B, H, S, Htol)
     psi, valid, cert_residual = _certificate(H, compute_Q(rb), Htol)
-    return _Sweep(x=x, t=t, raw=rb, H=H, margin=margin,
-                  eps=1e-7 * (1.0 + np.max(np.abs(np.linalg.eigvalsh(M)), axis=1)),
+    eigs = np.linalg.eigvalsh(M)
+    lo, hi = eigs[:, 0], eigs[:, -1]
+    return _Sweep(x=x, t=t, raw=rb, H=H, margin=margin, eig_lo=lo, eig_hi=hi,
+                  eps=1e-7 * (1.0 + np.maximum(np.abs(lo), np.abs(hi))),
                   orth_residual=orth_residual, orth_ok=orth_ok, psi=psi,
                   cert_residual=cert_residual, valid=valid, h_norm=np.max(Hn, axis=1))
 
@@ -515,7 +518,7 @@ def verify(sys: SystemSpec, met: MetricSpec, grid: GridSpec,
     the grid raises NonFiniteEvalError before any check runs.
     """
     sw = _sweep(sys, met, grid, met.lam)
-    bounds = check_metric_bounds(met, grid)
+    bounds = metric_bounds(met, sw.eig_lo, sw.eig_hi, sw.x, sw.t)
     contraction = _contraction(sw)
     condition1 = _condition1(sys, met, sw, PSI_CAP)
     strong = _strong(sw, contraction)

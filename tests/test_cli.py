@@ -131,6 +131,7 @@ def test_bad_override_values(capsys):
     ("--step", "0", "--step must be positive"),
     ("--step", "nan", "--step must be positive"),
     ("--segments", "0", "--segments must be >= 1"),
+    ("--seed", "-3", "--seed must be >= 0"),
 ])
 def test_bad_run_overrides_are_input_errors(tmp_path, capsys, command, flag,
                                             value, message):
@@ -146,6 +147,8 @@ def test_bad_run_overrides_are_input_errors(tmp_path, capsys, command, flag,
 @pytest.mark.parametrize("f, B, M, entry", [
     ("-x1 + 1/x1", "1", "1", "f[0]"),
     ("-x1", "x1^2", "1 + 1/x1^2", "M[0][0]"),
+    # exp(-1/t^2) is 0 at t = 0 by IEEE division, so only x1 = 0 is bad
+    ("-x1 + exp(-1/t^2)/x1", "1", "1", "f[0]"),
 ])
 def test_verify_non_finite_spec_is_an_input_error(tmp_path, capsys, f, B, M,
                                                   entry):
@@ -157,6 +160,27 @@ def test_verify_non_finite_spec_is_an_input_error(tmp_path, capsys, f, B, M,
     assert main(["verify", "--spec", str(p), "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: non-finite entry {entry} at x=[0.0], t=0.0\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("f, B, M, t, where", [
+    ("-x1 + 1/(t - 0.5)", "1", "1", 0.5, "f[0] at x=[-1.0], t=0.5"),
+    ("-x1", "1", "1 + 1/t", 0.0, "M[0][0] at x=[-1.0], t=0.0"),
+    ("-x1 + 10^400", "1", "1", 0.0, "f[0] at x=[-1.0], t=0.0"),
+    ("-x1", "1 + 0*10^400", "1", 0.0, "B[0][0] at x=[-1.0], t=0.0"),
+])
+def test_verify_t_only_or_constant_non_finite_is_an_input_error(
+        tmp_path, capsys, f, B, M, t, where):
+    # entries free of x are evaluated by numpy like the rest: a division
+    # by zero or an overflow there is a named non-finite entry, not a crash
+    doc = {"schema": 1, "name": "non-finite", "n": 1, "m": 1, "f": [f],
+           "B": [[B]], "M_upper": [[M]], "alpha1": 1.0, "alpha2": 1.0,
+           "lambda": 0.5, "grid": {"x": [[-1, 1, 5]], "u": [[0]], "t": [t]}}
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(doc))
+    assert main(["verify", "--spec", str(p), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: non-finite entry {where}\n"
     assert captured.out == ""
 
 

@@ -191,10 +191,10 @@ def test_compile_matrix_matches_evaluate():
     rng = np.random.default_rng(5)
     entries = [[parse("x1^2 + sin(x2)*t"), parse("1/(2 + tanh(x1))")],
                [parse("-x2"), parse("2.5")]]
-    fn = compile_matrix(entries, n=2)
+    fn = compile_matrix([entries], n=2)
     X = rng.uniform(-2, 2, size=(7, 2))
     t = 0.3
-    out = fn(X, t)
+    (out,) = fn(X, t)
     assert out.shape == (7, 2, 2)
     for k in range(7):
         env = {"x1": X[k, 0], "x2": X[k, 1], "t": t}
@@ -207,7 +207,59 @@ def test_compile_matrix_matches_evaluate():
 
 def test_compile_matrix_rejects_ragged():
     with pytest.raises(ValueError):
-        compile_matrix([[parse("x1"), parse("x1")], [parse("x1")]], n=1)
+        compile_matrix([[[parse("x1"), parse("x1")], [parse("x1")]]], n=1)
+    with pytest.raises(ValueError):
+        compile_matrix([[parse("x1"), [parse("x1")]]], n=1)
+
+
+def test_compile_matrix_returns_one_array_per_table():
+    x1, x2 = parse("x1"), parse("x2*t")
+    fn = compile_matrix([[x1, x2], [[x1], [x2]], [[[x1, x2]]]], n=2)
+    X = np.random.default_rng(2).uniform(-1, 1, size=(3, 4, 2))
+    T = np.linspace(0.0, 1.0, 4)
+    vec, col, cube = fn(X, T)
+    assert vec.shape == (3, 4, 2) and col.shape == (3, 4, 2, 1)
+    assert cube.shape == (3, 4, 1, 1, 2)
+    want = np.stack([X[..., 0], X[..., 1] * T], axis=-1)
+    assert np.array_equal(vec, want)
+    assert np.array_equal(col[..., 0], want) and np.array_equal(cube[..., 0, 0, :], want)
+    one = fn(X[0, 0], 0.0)
+    assert [a.shape for a in one] == [(2,), (2, 1), (1, 1, 2)]
+
+
+def test_compile_matrix_folds_variable_free_subtrees_ieee():
+    # folded once at compile time with numpy semantics: no Python-float
+    # arithmetic is left to run (or to raise) when the function is called
+    fn = compile_matrix([[parse("2*3*x1"), parse("x1 + 10^400"), parse("1/(2 - 2)"),
+                          parse("0*x1"), parse("exp(1)")]], n=1)
+    assert "6.0" in fn.source and "2.0" not in fn.source
+    assert " ** " not in fn.source and "np.exp" not in fn.source
+    (out,) = fn(np.array([[1.5], [-2.0]]), 0.0)
+    assert out[:, 0].tolist() == [9.0, -12.0]
+    assert np.isinf(out[:, 1]).all() and np.isinf(out[:, 2]).all()
+    assert out[:, 3].tolist() == [0.0, 0.0]
+    assert np.array_equal(out[:, 4], [np.exp(1.0)] * 2)
+
+
+def test_compile_matrix_scalar_and_array_t_agree_bitwise():
+    # numpy scalars take libm paths that can differ from the array loops
+    # in the last bit; a scalar T must give exactly the entries of an
+    # array of it
+    texts = ["sin(t)^3", "exp(-t)^5 + cos(3*t)", "x1*tanh(t)^7", "1/(t - 0.25)^3",
+             "(2 + cos(t))^-3"]
+    fn = compile_matrix([[parse(s) for s in texts]], n=1)
+    X = np.linspace(-1.0, 1.0, 5)[:, None]
+    for t in np.random.default_rng(4).uniform(-3.0, 3.0, size=200):
+        (scalar,) = fn(X, float(t))
+        (array,) = fn(X, np.full(5, t))
+        assert np.array_equal(scalar, array)
+
+
+def test_power_folds_overflow_silently():
+    # under filterwarnings = error, a RuntimeWarning here would fail
+    assert expr.power(Num(10.0), 400) == Num(math.inf)
+    assert expr.power(Num(0.0), -1) == Num(math.inf)
+    expr.differentiate(parse("x1*10^400"), "x1")
 
 
 def test_constructor_folding():

@@ -5,11 +5,14 @@ bundled spec files double as schema fixtures.
 """
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ccmkit.model import (
+    METRIC_BOUNDS_TOL,
     GridSpec,
     NonFiniteEvalError,
     SpecError,
@@ -17,10 +20,9 @@ from ccmkit.model import (
     check_metric_bounds,
     load_spec,
     load_spec_file,
-    metric_evaluator,
     plant_for,
-    system_evaluator,
 )
+from ccmkit.verifier import verify
 from conftest import curved_system, grid_of, metric_of, system_of
 
 
@@ -115,9 +117,8 @@ def test_metric_mirror_shares_objects():
     M = sf.metric.M
     assert M[0][1] is M[1][0]
     # shared objects make evaluated metrics symmetric bitwise
-    ev = metric_evaluator(sf.metric)
     X = np.random.default_rng(0).uniform(-2, 2, size=(20, 2))
-    arr = ev.M(X, 0.0)
+    (arr,) = sf.metric.eval_M(X, 0.0)
     assert np.array_equal(arr, np.swapaxes(arr, -1, -2))
 
 
@@ -213,11 +214,25 @@ def test_non_finite_flagged_with_entry_name():
     assert "M[0][0]" in str(ei.value)
 
 
-def test_evaluator_caches():
+def test_evaluator_caches(monkeypatch):
+    # each spec compiles its functions on first use and keeps them: two
+    # plants of one (system, metric) pair compile two functions in all
+    from ccmkit import model
+    compiled, original = [], model.compile_matrix
+
+    def counting(tables, n):
+        compiled.append(len(tables))
+        return original(tables, n)
+
+    monkeypatch.setattr(model, "compile_matrix", counting)
     sys, met = curved_system()
-    assert system_evaluator(sys) is system_evaluator(sys)
-    assert metric_evaluator(met) is metric_evaluator(met)
-    assert plant_for(sys, met) is plant_for(sys, met)
+    X = np.random.default_rng(3).uniform(-1, 1, size=(4, 2))
+    first = plant_for(sys, met).raw_batch(X, 0.2)
+    second = plant_for(sys, met).raw_batch(X, 0.2)
+    assert compiled == [4, 3]
+    assert sys.eval_raw is sys.eval_raw and met.eval_raw is met.eval_raw
+    for name in ("f", "B", "M", "dfdx", "dBdx", "dMdx", "dMdt"):
+        assert np.array_equal(getattr(first, name), getattr(second, name))
 
 
 def test_metric_bounds_pass_and_fail():
@@ -238,6 +253,42 @@ def test_metric_bounds_pass_and_fail():
 
     low = metric_of([["1", "0"], ["2 + sin(x1)"]], 1.0, 2.5, 0.5)
     assert not check_metric_bounds(low, grid).passed
+
+
+def _bounds_per_t(met, grid, tol):
+    """The former scan: one M evaluation and one eigvalsh per t sample,
+    keeping the first extreme point in grid order."""
+    X = grid.x_points()
+    best = [math.inf, -math.inf, {}, {}]
+    for t in grid.t_samples:
+        (M,) = met.eval_M(X, float(t))
+        eigs = np.linalg.eigvalsh(M)
+        i, j = int(np.argmin(eigs[:, 0])), int(np.argmax(eigs[:, -1]))
+        if eigs[i, 0] < best[0]:
+            best[0], best[2] = float(eigs[i, 0]), {"x": X[i].tolist(), "t": float(t)}
+        if eigs[j, -1] > best[1]:
+            best[1], best[3] = float(eigs[j, -1]), {"x": X[j].tolist(), "t": float(t)}
+    passed = best[0] >= met.alpha1 - tol and best[1] <= met.alpha2 + tol
+    return {"passed": passed, "min_eig": best[0], "max_eig": best[1],
+            "argmin": best[2], "argmax": best[3], "tol": tol}
+
+
+@pytest.mark.parametrize("case", ["curved", "warped", "double-integrator"])
+def test_metric_bounds_one_stacked_scan(case):
+    # check_metric_bounds and verify's bounds (read off the sweep's
+    # eigenvalues) both equal the per-t scan, ties resolved alike
+    if case == "curved":
+        sys, met = curved_system()
+        grid = grid_of([(-2.0, 2.0, 11), (-2.0, 2.0, 11)], [[0.0]],
+                       t_samples=(0.0, 0.4, 1.3, 0.4))
+    elif case == "warped":
+        root = Path(__file__).parents[1]
+        sys, met, grid = load_spec(root / "perfbench/specs/warped_double_integrator.json")
+    else:
+        sys, met, grid = load_spec(bundled_spec_path(case))
+    want = _bounds_per_t(met, grid, METRIC_BOUNDS_TOL)
+    assert check_metric_bounds(met, grid).to_dict() == want
+    assert verify(sys, met, grid).metric_bounds.to_dict() == want
 
 
 def test_metric_bounds_to_dict_serializes():
@@ -262,8 +313,8 @@ def test_scenario_and_transform_blocks(tmp_path):
 
 
 def test_plant_cache_lets_specs_be_freed():
-    # plant_for caches under weak keys; a plant that referenced its specs
-    # would keep every spec it was ever built for alive
+    # each spec owns its compiled functions; nothing that outlives a run
+    # (a module-level cache, a compiled function) may keep a spec alive
     import gc
     import weakref
     sys_, met = curved_system()

@@ -63,6 +63,16 @@ def _orthogonality_failure():
     return sys, met, grid, met.lam
 
 
+def _orthogonality_near_tolerance():
+    # B = (1, c x2)' with M = I: H = diag(0, 2c) and the kernel residual is
+    # 2c / (1 + c^2 x2^2) = 5e-8 to rounding, five times the tolerance
+    # 1e-8 (1 + ||H||_F): a tolerance 10x looser would pass every point
+    sys = system_of(["-x1", "-x2"], [["1"], ["2.5e-8*x2"]])
+    met = metric_of([["1", "0"], ["1"]], 1.0, 1.0, 0.5)
+    grid = grid_of([(-1.0, 1.0, 5), (-1.0, 1.0, 5)], [[0.0]])
+    return sys, met, grid, met.lam
+
+
 def _three_state_two_input():
     # m = 2 inputs with a one-dimensional kernel, so the per-input
     # orthogonality residuals differ; B loses rank where x1 = 0
@@ -92,6 +102,7 @@ CASES = {
     "curved-41x41-3t": _curved,
     "two-input": _two_input,
     "orthogonality-failure": _orthogonality_failure,
+    "orthogonality-5x-tolerance": _orthogonality_near_tolerance,
     "counterexample-lambda-1.5": lambda: _bundled("counterexample", 1.5),
     "three-state-two-input": _three_state_two_input,
     "three-state-one-input": _three_state_one_input,
@@ -219,6 +230,17 @@ def test_summaries_keep_grid_order_and_cap(name):
     if lam == met.lam:
         strong = check_strong_conditions(sys, met, grid)
         _same(strong.max_H_norm, max(r["h_norm"] for r in rows), "max_H_norm")
+
+
+def test_orthogonality_residual_between_one_and_ten_tolerances():
+    sys, met, grid, lam, rows = _case("orthogonality-5x-tolerance")
+    sw = _sweep(sys, met, grid, lam)
+    ratio = sw.orth_residual / (1e-8 * (1.0 + sw.h_norm))
+    assert ((ratio > 4.9) & (ratio < 5.1)).all()
+    assert not sw.orth_ok.any() and not any(r["orth_ok"] for r in rows)
+    c = check_contraction(sys, met, grid)
+    assert not c.passed and not c.orthogonality.passed
+    assert {f["reason"] for f in c.failures} == {"orthogonality"}
 
 
 def test_capped_lists_on_the_curved_grid():
