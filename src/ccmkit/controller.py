@@ -7,7 +7,7 @@ The gain is the min-norm-style scalar
 
 applied to the tangent loop as delta_u = -rho B' M delta, which closes
 the differential dynamics with Vdot <= -2 lambda V at every point where
-b stays above b_floor.  rho is deliberately discontinuous across a = 0
+b stays above B_FLOOR.  rho is deliberately discontinuous across a = 0
 (it jumps from 0 to 1); the decrease bound holds on both branches.
 
 The state-level control integrates delta_u along a discretized path
@@ -38,7 +38,7 @@ B_FLOOR = 1e-12
 
 
 class Infeasible(Exception):
-    """a >= 0 with no control authority (b <= b_floor): the tangent cost
+    """a >= 0 with no control authority (b <= B_FLOOR): the tangent cost
     cannot be decreased at this point, so the premise of the design
     fails along the path."""
 
@@ -67,7 +67,6 @@ class ControllerConfig:
     lam: float
     path_segments: int = 32
     geodesic_iterations: int = 20
-    b_floor: float = B_FLOOR
 
 
 @dataclass
@@ -76,17 +75,17 @@ class PathDiscretization:
     energy: float        # sum over segments of dg' M(mid) dg / ds
 
 
-def rho(a: float, b: float, b_floor: float = B_FLOOR) -> float:
-    """Feedback gain scalar; raises Infeasible when a >= 0 and b <= b_floor."""
+def rho(a: float, b: float) -> float:
+    """Feedback gain scalar; raises Infeasible when a >= 0 and b <= B_FLOOR."""
     if a < 0.0:
         return 0.0
-    if b <= b_floor:
+    if b <= B_FLOOR:
         raise Infeasible(a, b)
     return (a + math.sqrt(a * a + b * b)) / b
 
 
 def differential_feedback(raw: RawEval, delta: np.ndarray, u: np.ndarray,
-                          lam: float, b_floor: float = B_FLOOR) -> np.ndarray:
+                          lam: float) -> np.ndarray:
     """Tangent-level control delta_u = -rho(a, b) B' M delta.
 
     A zero tangent returns exactly zero without consulting rho.  The
@@ -97,7 +96,7 @@ def differential_feedback(raw: RawEval, delta: np.ndarray, u: np.ndarray,
     if not d.any():
         return np.zeros(raw.B.shape[1])
     a0, slope, w, b = feedback_terms(raw, d, lam)
-    return -rho(float(a0 + slope @ u), float(b), b_floor) * w
+    return -rho(float(a0 + slope @ u), float(b)) * w
 
 
 def path_energy(nodes: np.ndarray, met: MetricSpec, t: float = 0.0) -> float:
@@ -191,7 +190,7 @@ def tracking_feedback(x: np.ndarray, x_star: np.ndarray, u_star: np.ndarray,
     a0, slope, w, b = feedback_terms(raws, diffs, cfg.lam)
     for j in np.flatnonzero(diffs.any(axis=1)).tolist():
         try:
-            r = rho(float(a0[j] + slope[j] @ u), float(b[j]), cfg.b_floor)
+            r = rho(float(a0[j] + slope[j] @ u), float(b[j]))
         except Infeasible as err:
             raise Infeasible(err.a, err.b, x=nodes[j], node=j, time=t) from None
         u = u - r * w[j]

@@ -425,7 +425,7 @@ _PREC_ATOM = 4
 
 def _prec(e: Expression) -> float:
     if isinstance(e, Num):
-        return _PREC_NEG if e.value < 0 else _PREC_ATOM
+        return _PREC_NEG if _fmt_num(e.value).startswith("-") else _PREC_ATOM
     if isinstance(e, (Var, Func)):
         return _PREC_ATOM
     if isinstance(e, Pow):
@@ -438,9 +438,15 @@ def _prec(e: Expression) -> float:
 
 
 def _fmt_num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
+    """Grammar text that parses back to v: inf is 1e999, nan is
+    (1e999 - 1e999), and a negative v, -0.0 included, is negated."""
+    if math.isnan(v):
+        return "(1e999 - 1e999)"
+    if math.copysign(1.0, v) < 0.0:
+        return "-" + _fmt_num(-v)
+    if math.isinf(v):
+        return "1e999"
+    return str(int(v)) if v == int(v) and v < 1e16 else repr(v)
 
 
 def to_text(e: Expression) -> str:

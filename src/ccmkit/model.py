@@ -26,7 +26,7 @@ import numpy as np
 from . import expr
 from .expr import Expression, compile_matrix, free_variables, jacobian, parse
 
-METRIC_BOUNDS_TOL = 1e-9
+METRIC_BOUNDS_TOL = 1e-9   # absolute slack on the claimed [alpha1, alpha2]
 
 _BUNDLED = {
     "counterexample": "counterexample.json",
@@ -489,25 +489,25 @@ class MetricBoundsResult:
         }
 
 
-def check_metric_bounds(met: MetricSpec, grid: GridSpec,
-                        tol: float = METRIC_BOUNDS_TOL) -> MetricBoundsResult:
+def check_metric_bounds(met: MetricSpec, grid: GridSpec) -> MetricBoundsResult:
     """Eigenvalue scan of M over the grid against the claimed bounds.
 
-    Passes iff min eig >= alpha1 - tol and max eig <= alpha2 + tol at
-    every grid (x, t).
+    Passes iff min eig >= alpha1 - METRIC_BOUNDS_TOL and max eig <=
+    alpha2 + METRIC_BOUNDS_TOL at every grid (x, t).
     """
     x, t = grid.samples()
     (M,) = met.eval_M(x, t)
     eigs = np.linalg.eigvalsh(M)
-    return metric_bounds(met, eigs[:, 0], eigs[:, -1], x, t, tol)
+    return metric_bounds(met, eigs[:, 0], eigs[:, -1], x, t)
 
 
 def metric_bounds(met: MetricSpec, lo: np.ndarray, hi: np.ndarray, x: np.ndarray,
-                  t: np.ndarray, tol: float = METRIC_BOUNDS_TOL) -> MetricBoundsResult:
+                  t: np.ndarray) -> MetricBoundsResult:
     """Summarize each sample's lowest and highest eigenvalue of M against
     the claimed bounds; argmin and argmax name the first extreme sample."""
     i, j = int(np.argmin(lo)), int(np.argmax(hi))
+    tol = METRIC_BOUNDS_TOL
     passed = bool(lo[i] >= met.alpha1 - tol and hi[j] <= met.alpha2 + tol)
     return MetricBoundsResult(passed, float(lo[i]), float(hi[j]),
                               {"x": x[i].tolist(), "t": float(t[i])},
-                              {"x": x[j].tolist(), "t": float(t[j])}, tol)
+                              {"x": x[j].tolist(), "t": float(t[j])})

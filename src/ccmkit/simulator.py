@@ -23,6 +23,7 @@ RATE_FIT_WINDOW = 0.8       # trailing fraction of the horizon used for the fit
 RATE_SLACK = 0.95           # fitted rate must reach this fraction of lambda
 OVERSHOOT_SLACK = 1.05
 V_CONVERGED = 1e-14
+TARGET_TOL = 1e-6           # re-integrated target deviation, times max(1, |x*|)
 
 
 class NonFiniteStateError(Exception):
@@ -148,7 +149,7 @@ def convergence_metrics(traj: Trajectory, x_star, met: MetricSpec,
     """Fit the decay rate and overshoot surrogate for a tracking run.
 
     fitted_rate is -slope/2 of the log V fit over the trailing 80% of
-    the horizon; if V stays below 1e-14 the run counts as converged with
+    the horizon; if V stays below V_CONVERGED the run counts as converged with
     no fit.  overshoot is max_t ||x - x*|| e^{lam (t - t0)} / ||x0 - x*0||,
     compared against sqrt(alpha2/alpha1) with 5% slack.
     """
@@ -186,31 +187,27 @@ def convergence_metrics(traj: Trajectory, x_star, met: MetricSpec,
 def simulate_closed_loop(sys: SystemSpec, met: MetricSpec, cfg: ControllerConfig,
                          x_star, u_star, x0: np.ndarray, t0: float = 0.0,
                          horizon: float = 10.0, step: float = 1e-3,
-                         validate_target: bool = True,
-                         target_tol: float = 1e-6,
                          ) -> tuple[Trajectory, ConvergenceReport]:
     """Track (x_star, u_star) from x0 with the path-integrated feedback.
 
-    The target pair is validated by re-integration under u_star before
-    the run (disable with validate_target=False).  The feedback is
-    computed once per step and held.  Infeasible points and non-finite
-    aborts stop the run; the report carries the time and the returned
-    trajectory holds the prefix that was completed.
+    The target pair is first re-integrated under u_star; a deviation
+    above TARGET_TOL * max(1, max |x_star|) raises ValueError.  The
+    feedback is computed once per step and held.  Infeasible points and
+    non-finite aborts stop the run; the report carries the time and the
+    returned trajectory holds the prefix that was completed.
     """
     x_fn = _as_callable(x_star, sys.n)
     u_fn = _as_callable(u_star, sys.m)
 
-    if validate_target:
-        ref = integrate(sys, u_fn, np.asarray(x_fn(t0), dtype=float), t0,
-                        horizon, step)
-        xs = _target_states(ref, x_fn, sys.n)
-        worst = float(np.max(np.abs(ref.states - xs)))
-        scale = max(1.0, float(np.max(np.abs(xs))))
-        if worst > target_tol * scale:
-            raise ValueError(
-                f"target trajectory violates the dynamics: re-integration "
-                f"deviates by {worst:.3e} (tol {target_tol * scale:.3e})"
-            )
+    ref = integrate(sys, u_fn, np.asarray(x_fn(t0), dtype=float), t0, horizon, step)
+    xs = _target_states(ref, x_fn, sys.n)
+    worst = float(np.max(np.abs(ref.states - xs)))
+    tol = TARGET_TOL * max(1.0, float(np.max(np.abs(xs))))
+    if worst > tol:
+        raise ValueError(
+            f"target trajectory violates the dynamics: re-integration "
+            f"deviates by {worst:.3e} (tol {tol:.3e})"
+        )
 
     steps = max(1, int(round(horizon / step)))
     h = horizon / steps

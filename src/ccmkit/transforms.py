@@ -33,8 +33,14 @@ from .verifier import _sweep, construct_psi  # noqa: F401
 # compute_H and construct_psi are not used here; they stay importable from
 # this module because perfbench/tracer.py patches them under these names.
 
-BETA_DET_TOL = 1e-12
-DUAL_TOL = 1e-9
+BETA_DET_TOL = 1e-12      # |det beta| at or below this counts as singular
+DUAL_TOL = 1e-9           # absolute slack on a dual constraint residual
+CONVEX_THETAS = (0.25, 0.5, 0.75)  # convex weights convexity_probe tests
+SLACK_TOL = 1e-8          # absolute slack on the transported pairing bound
+MARGIN_TOL = 1e-9         # kernel margins of both systems agree within this
+FD_POINTS = 8             # valid points whose v-gradient is differenced
+FD_STEP = 1e-5            # central-difference step in v
+FD_TOL = 1e-6             # difference error, relative as |fd - g| / (1 + |g|)
 
 
 @dataclass
@@ -46,9 +52,9 @@ class DualPoint:
     dW/dx_k = -W (dM/dx_k) W.
     """
 
-    W: np.ndarray                 # (n, n) SPD
-    eta: np.ndarray               # (n,)
-    dWdx: np.ndarray | None = None  # (n, n, n)
+    W: np.ndarray      # (n, n) SPD
+    eta: np.ndarray    # (n,)
+    dWdx: np.ndarray   # (n, n, n)
 
 
 def dual_point(raw: RawEval, delta: np.ndarray) -> DualPoint:
@@ -62,19 +68,13 @@ def dual_point(raw: RawEval, delta: np.ndarray) -> DualPoint:
 def dual_constraint_residual(dp: DualPoint, raw: RawEval, psi: float) -> float:
     """max_i [ |eta'(W J_i' + J_i W - d_{b_i}W) eta| - psi eta' B B' eta ].
 
-    Nonpositive means (W, psi) is feasible at this point for the tested
-    eta.  A missing dWdx is derived from raw (valid only when W is the
-    pointwise inverse of M).
+    Nonpositive means (W, psi) is feasible at this point for the tested eta.
     """
-    W = dp.W
     eta = dp.eta
-    dWdx = dp.dWdx
-    if dWdx is None:
-        dWdx = dual_point(raw, np.zeros(raw.M.shape[0])).dWdx
     rhs = psi * float((raw.B.T @ eta) @ (raw.B.T @ eta))
     J = raw.dBdx
-    dbW = np.tensordot(raw.B, dWdx, axes=(0, 0))        # dbW[i] = d_{b_i} W
-    T = W @ np.swapaxes(J, -1, -2) + J @ W - dbW
+    dbW = np.tensordot(raw.B, dp.dWdx, axes=(0, 0))     # dbW[i] = d_{b_i} W
+    T = dp.W @ np.swapaxes(J, -1, -2) + J @ dp.W - dbW
     return float(np.max(np.abs(eta @ T @ eta))) - rhs
 
 
@@ -93,17 +93,15 @@ class ConvexityResult:
 
 
 def convexity_probe(duals1: list[DualPoint], duals2: list[DualPoint],
-                    raws: list[RawEval], psi1: float, psi2: float,
-                    thetas: tuple = (0.25, 0.5, 0.75),
-                    tol: float = DUAL_TOL) -> ConvexityResult:
+                    raws: list[RawEval], psi1: float, psi2: float) -> ConvexityResult:
     """Test convex combinations of two feasible dual certificates.
 
     Both inputs must be feasible at every sample against both sampled
     eta vectors (checked first; infeasible input raises ValueError --
     combinations are only guaranteed to inherit feasibility at an eta
-    where both endpoints hold).  Each combination
-    (theta W1 + (1-theta) W2, theta psi1 + (1-theta) psi2) is then
-    tested at the same sample points against both eta vectors.
+    where both endpoints hold).  Each combination (theta W1 + (1-theta) W2,
+    theta psi1 + (1-theta) psi2), theta in CONVEX_THETAS, is then tested at
+    the same samples against both eta vectors, up to DUAL_TOL.
     """
     if not (len(duals1) == len(duals2) == len(raws)):
         raise ValueError("sample lists must have equal length")
@@ -114,12 +112,12 @@ def convexity_probe(duals1: list[DualPoint], duals2: list[DualPoint],
                 r = dual_constraint_residual(
                     DualPoint(W=dp.W, eta=eta, dWdx=dp.dWdx), raw, psi
                 )
-                if r > tol:
+                if r > DUAL_TOL:
                     raise ValueError(
                         f"{which} certificate is not feasible: residual {r:.3e}"
                     )
     worst = -math.inf
-    for th in thetas:
+    for th in CONVEX_THETAS:
         psi_c = th * psi1 + (1.0 - th) * psi2
         for d1, d2, raw in zip(duals1, duals2, raws):
             W = th * d1.W + (1.0 - th) * d2.W
@@ -129,8 +127,8 @@ def convexity_probe(duals1: list[DualPoint], duals2: list[DualPoint],
                     DualPoint(W=W, eta=eta, dWdx=dW), raw, psi_c
                 )
                 worst = max(worst, r)
-    return ConvexityResult(feasible=worst <= tol, worst_residual=worst,
-                           thetas=thetas, samples=len(raws))
+    return ConvexityResult(feasible=worst <= DUAL_TOL, worst_residual=worst,
+                           thetas=CONVEX_THETAS, samples=len(raws))
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +153,8 @@ class FeedbackTransform:
     def at(self, x: np.ndarray, t=0.0):
         """(alpha, beta, kappa, gamma) at a point, or at each row of a
         stack of points (t broadcast against the rows); raises ValueError
-        at the first point where beta is singular (|det| <= 1e-12 or
-        gamma <= 0)."""
+        at the first point where beta is singular (|det| <= BETA_DET_TOL
+        or gamma <= 0)."""
         a, b = self._eval_ab(x, t)
         det = np.linalg.det(b)
         kappa = np.max(np.sum(np.abs(b), axis=-1), axis=-1)
@@ -245,9 +243,7 @@ class InvarianceResult:
 
 
 def invariance_probe(sys: SystemSpec, met: MetricSpec, tf: FeedbackTransform,
-                     grid: GridSpec, slack_tol: float = 1e-8,
-                     margin_tol: float = 1e-9, fd_points: int = 8,
-                     fd_step: float = 1e-5) -> InvarianceResult:
+                     grid: GridSpec) -> InvarianceResult:
     """Certify that the transported bound survives u = alpha + beta v.
 
     At every grid (x, t) with a valid certificate psi and every sampled
@@ -255,14 +251,14 @@ def invariance_probe(sys: SystemSpec, met: MetricSpec, tf: FeedbackTransform,
 
         max_i |dVdot/dv_i| <= psibar * (dV/ddelta) B beta beta' B' (dV/ddelta)'
 
-    with psibar = kappa psi / gamma, where dVdot/dv = (delta'H delta) beta.
-    The v-gradient is cross-checked by central differences through the
-    symbolically transformed system at the first fd_points points.  Also
-    compares the kernel contraction margins of the original and the
-    transformed system pointwise (both vacuous counts as a match).
+    up to SLACK_TOL, with psibar = kappa psi / gamma and dVdot/dv =
+    (delta'H delta) beta.  Central differences through the transformed
+    system cross-check the v-gradient at the first FD_POINTS points, to
+    FD_TOL.  The kernel margins of both systems must agree pointwise to
+    MARGIN_TOL (both vacuous counts as a match).
     """
-    sw = _sweep(sys, met, grid, met.lam)
-    sw_t = _sweep(apply_feedback_transform(sys, tf), met, grid, met.lam)
+    sw = _sweep(sys, met, grid)
+    sw_t = _sweep(apply_feedback_transform(sys, tf), met, grid)
     deltas = grid.deltas(sys.n)
     idx = np.flatnonzero(sw.valid)
     _, beta, kappa, gamma = tf.at(sw.x[idx], sw.t[idx])
@@ -272,14 +268,14 @@ def invariance_probe(sys: SystemSpec, met: MetricSpec, tf: FeedbackTransform,
     m1, m2 = (np.where(np.isnan(s.margin[idx]), -np.inf, s.margin[idx]) for s in (sw, sw_t))
     with np.errstate(invalid="ignore"):
         diff = np.where(np.isinf(m1) & np.isinf(m2), 0.0, np.abs(m1 - m2))
-    margins_ok = not np.any(diff > margin_tol)
+    margins_ok = not np.any(diff > MARGIN_TOL)
 
     # each tangent at every point at once: p_i = delta' H_i delta,
     # grad_v = beta' p and w = beta' B' M delta
     H, M = sw.H[idx], sw.raw.M[idx]
     betaT = np.swapaxes(beta, -1, -2)
     BT = np.swapaxes(sw.raw.B[idx], -1, -2)
-    fd_checked = min(fd_points, idx.size)
+    fd_checked = min(FD_POINTS, idx.size)
     min_slack, fd_grads = math.inf, []
     for d in deltas:
         dc = d[:, None]
@@ -295,16 +291,16 @@ def invariance_probe(sys: SystemSpec, met: MetricSpec, tf: FeedbackTransform,
     rows = idx[:fd_checked, None]
     raw_t = RawEval(*(getattr(sw_t.raw, f.name)[rows] for f in fields(RawEval)))
     a0, slope, _, _ = feedback_terms(raw_t, deltas, 0.0)
-    step = slope @ (fd_step * np.eye(sys.m))
-    fd = ((a0[..., None] + step) - (a0[..., None] - step)) / (2.0 * fd_step)
+    step = slope @ (FD_STEP * np.eye(sys.m))
+    fd = ((a0[..., None] + step) - (a0[..., None] - step)) / (2.0 * FD_STEP)
     g = np.swapaxes(np.asarray(fd_grads), 0, 1)
     fd_max_err = float(np.max(np.abs(fd - g) / (1.0 + np.abs(g)), initial=0.0))
 
     if not math.isfinite(min_slack):
         min_slack = 0.0
     gamma_min = float(np.min(gamma, initial=math.inf))
-    passed = (min_slack >= -slack_tol) and margins_ok and (
-        fd_checked == 0 or fd_max_err <= 1e-6
+    passed = (min_slack >= -SLACK_TOL) and margins_ok and (
+        fd_checked == 0 or fd_max_err <= FD_TOL
     )
     return InvarianceResult(
         passed=passed, checked_points=idx.size * len(deltas),

@@ -42,6 +42,7 @@ from .model import (
 TAU_RANK = 1e-9      # relative singular-value cutoff for ker (MB)'
 TAU_EIG = 1e-8       # relative eigenvalue cutoff for range Q
 EPS_ORTH = 1e-8      # orthogonality / certificate residual scale
+EPS_MARGIN = 1e-7    # kernel margin strictness, times 1 + ||M||_2
 PSI_CAP = 1e6        # psi above this is treated as blow-up
 C2_TOL = 1e-8        # H_i considered identically zero below this
 
@@ -231,7 +232,7 @@ class _Sweep:
     margin: np.ndarray         # kernel margin, NaN where the kernel is empty
     eig_lo: np.ndarray         # lowest eigenvalue of M
     eig_hi: np.ndarray         # highest eigenvalue of M
-    eps: np.ndarray            # margin strictness 1e-7 (1 + ||M||_2)
+    eps: np.ndarray            # margin strictness EPS_MARGIN (1 + ||M||_2)
     orth_residual: np.ndarray  # max_i ||N' H_i N||_F, 0 where the kernel is empty
     orth_ok: np.ndarray
     psi: np.ndarray            # certificate psi, NaN where it is invalid
@@ -240,9 +241,10 @@ class _Sweep:
     h_norm: np.ndarray         # max_i ||H_i||_F
 
 
-def _sweep(sys: SystemSpec, met: MetricSpec, grid: GridSpec, lam: float) -> _Sweep:
-    """Every pointwise check at every grid point: one raw batch over the
-    whole grid, flagged for non-finite entries, then checked in one pass."""
+def _sweep(sys: SystemSpec, met: MetricSpec, grid: GridSpec) -> _Sweep:
+    """Every pointwise check at every grid point, at the rate met.lam: one
+    raw batch over the whole grid, flagged for non-finite entries, then
+    checked in one pass."""
     x, t = grid.samples()
     rb = plant_for(sys, met).raw_batch(x, t)
     _flag_non_finite(rb, x, t)
@@ -252,13 +254,13 @@ def _sweep(sys: SystemSpec, met: MetricSpec, grid: GridSpec, lam: float) -> _Swe
     Hn, Htol = _h_tol(H)
     Mdot0 = rb.dMdt + (rb.f[:, None, :] @ rb.dMdx.reshape(P, n, n * n)).reshape(P, n, n)
     MA = M @ rb.dfdx
-    S = Mdot0 + MA + _T(MA) + 2.0 * lam * M
+    S = Mdot0 + MA + _T(MA) + 2.0 * met.lam * M
     margin, orth_residual, orth_ok = _kernel_checks(M @ rb.B, H, S, Htol)
     psi, valid, cert_residual = _certificate(H, compute_Q(rb), Htol)
     eigs = np.linalg.eigvalsh(M)
     lo, hi = eigs[:, 0], eigs[:, -1]
     return _Sweep(x=x, t=t, raw=rb, H=H, margin=margin, eig_lo=lo, eig_hi=hi,
-                  eps=1e-7 * (1.0 + np.maximum(np.abs(lo), np.abs(hi))),
+                  eps=EPS_MARGIN * (1.0 + np.maximum(np.abs(lo), np.abs(hi))),
                   orth_residual=orth_residual, orth_ok=orth_ok, psi=psi,
                   cert_residual=cert_residual, valid=valid, h_norm=np.max(Hn, axis=1))
 
@@ -316,15 +318,14 @@ def _contraction(sw: _Sweep) -> ContractionResult:
     )
 
 
-def check_contraction(sys: SystemSpec, met: MetricSpec, grid: GridSpec,
-                      lam: float | None = None) -> ContractionResult:
-    """Kernel contraction condition over the grid at u = 0.
+def check_contraction(sys: SystemSpec, met: MetricSpec, grid: GridSpec) -> ContractionResult:
+    """Kernel contraction condition over the grid at u = 0, rate met.lam.
 
     Orthogonality of every H_i on the kernel is a precondition at each
     point; where it fails, the point is recorded as a failure rather
     than raising.  Points with an empty kernel pass vacuously.
     """
-    return _contraction(_sweep(sys, met, grid, met.lam if lam is None else lam))
+    return _contraction(_sweep(sys, met, grid))
 
 
 @dataclass
@@ -400,15 +401,14 @@ class Condition1Result:
         }
 
 
-def _condition1(sys: SystemSpec, met: MetricSpec, sw: _Sweep,
-                psi_cap: float) -> Condition1Result:
+def _condition1(sys: SystemSpec, met: MetricSpec, sw: _Sweep) -> Condition1Result:
     bad = np.flatnonzero(~sw.valid)
     invalid_examples = [{**_at(sw, i), "residual": float(sw.cert_residual[i])}
                         for i in bad[:16]]
     psi = np.where(sw.valid, sw.psi, 0.0)
     i = int(np.argmax(psi))
     max_psi, max_at = (float(psi[i]), _at(sw, i)) if psi[i] > 0.0 else (0.0, {})
-    blow_up = bad.size > 0 or max_psi > psi_cap
+    blow_up = bad.size > 0 or max_psi > PSI_CAP
     power_law = None
     if blow_up:
         # fit along the ray through the invalid point nearest the origin
@@ -420,22 +420,21 @@ def _condition1(sys: SystemSpec, met: MetricSpec, sw: _Sweep,
             power_law = fit_psi_power_law(sys, met, sw.x[j], float(sw.t[j]))
     return Condition1Result(
         passed=not blow_up, checked_points=sw.x.shape[0], max_psi=max_psi,
-        max_psi_at=max_at, psi_cap=psi_cap, invalid_count=int(bad.size),
+        max_psi_at=max_at, invalid_count=int(bad.size),
         invalid_examples=invalid_examples, blow_up=blow_up, power_law=power_law,
     )
 
 
-def check_condition1(sys: SystemSpec, met: MetricSpec, grid: GridSpec,
-                     psi_cap: float = PSI_CAP) -> Condition1Result:
+def check_condition1(sys: SystemSpec, met: MetricSpec, grid: GridSpec) -> Condition1Result:
     """Certificate psi at every grid (x, t); fails on blow-up.
 
-    Blow-up means max psi exceeding psi_cap or CertificateInvalid
+    Blow-up means max psi exceeding PSI_CAP or CertificateInvalid
     anywhere.  On blow-up a power-law probe along the ray through the
     most suspicious point distinguishes genuine growth (for the cubic
     blow-up of the scalar counterexample the fitted exponent is -3)
     from merely large finite values.
     """
-    return _condition1(sys, met, _sweep(sys, met, grid, met.lam), psi_cap)
+    return _condition1(sys, met, _sweep(sys, met, grid))
 
 
 @dataclass
@@ -476,7 +475,7 @@ def check_strong_conditions(sys: SystemSpec, met: MetricSpec,
     columns), C2 asks every H_i to vanish identically on the grid.
     When both hold, the psi = 0 certificate is confirmed against the
     Condition-1 sweep."""
-    sw = _sweep(sys, met, grid, met.lam)
+    sw = _sweep(sys, met, grid)
     return _strong(sw, _contraction(sw))
 
 
@@ -517,10 +516,10 @@ def verify(sys: SystemSpec, met: MetricSpec, grid: GridSpec,
     checked in one vectorized pass.  A non-finite raw value anywhere on
     the grid raises NonFiniteEvalError before any check runs.
     """
-    sw = _sweep(sys, met, grid, met.lam)
+    sw = _sweep(sys, met, grid)
     bounds = metric_bounds(met, sw.eig_lo, sw.eig_hi, sw.x, sw.t)
     contraction = _contraction(sw)
-    condition1 = _condition1(sys, met, sw, PSI_CAP)
+    condition1 = _condition1(sys, met, sw)
     strong = _strong(sw, contraction)
     verdict = bounds.passed and contraction.passed and condition1.passed
     return VerificationReport(

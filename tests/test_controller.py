@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ccmkit.controller import (
+    B_FLOOR,
     ControllerConfig,
     Infeasible,
     build_path,
@@ -31,6 +32,10 @@ def test_rho_branches():
     assert ei.value.a == 1e-3 and ei.value.b == 0.0
     with pytest.raises(Infeasible):
         rho(0.0, 1e-13)                  # at or below the floor counts
+    with pytest.raises(Infeasible):
+        rho(1.0, B_FLOOR)
+    # a few times the floor still has authority (a 10x floor would not)
+    assert rho(1.0, 3.0 * B_FLOOR) == pytest.approx(2.0 / (3.0 * B_FLOOR), rel=1e-15)
 
 
 def test_differential_feedback_worked_value():
@@ -154,7 +159,7 @@ def test_tracking_infeasible_near_vanishing_gain():
         tracking_feedback(np.array([0.0]), np.array([1.0]), np.array([1.0]),
                           sys, met, cfg, t=0.0)
     err = ei.value
-    assert err.a >= 0.0 and err.b <= cfg.b_floor
+    assert err.a >= 0.0 and err.b <= B_FLOOR
     assert err.node is not None and err.time == 0.0
     assert "path node" in str(err)
     # a coarser path skips the degenerate zone and returns a finite input:
@@ -177,7 +182,7 @@ def _segmentwise_feedback(x, x_star, u_star, sys, met, cfg, t):
         raw = ref.raw_slice(raws, j)
         a, b = ref.compute_ab(raw, u, diffs[j], cfg.lam)
         try:
-            r = rho(a, b, cfg.b_floor)
+            r = rho(a, b)
         except Infeasible:
             raise Infeasible(a, b, x=nodes[j], node=j, time=t) from None
         u = u - r * (raw.B.T @ (raw.M @ diffs[j]))
@@ -222,4 +227,3 @@ def test_controller_config_defaults():
     cfg = ControllerConfig(lam=0.4)
     assert cfg.path_segments == 32
     assert cfg.geodesic_iterations == 20
-    assert cfg.b_floor == 1e-12

@@ -87,6 +87,44 @@ def test_printer_cases():
     assert to_text(Num(2.5)) == "2.5"
 
 
+def _value(e, env=None):
+    """IEEE value at a binding, non-finite included (evaluate raises there)."""
+    with np.errstate(**expr.IEEE):
+        return float(expr._eval(e, env or {}))
+
+
+def _bitwise(a, b):
+    """Equal with the sign of zero, or both nan."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def test_printer_non_finite_and_signed_zero():
+    cases = [(math.inf, "1e999"), (-math.inf, "-1e999"),
+             (math.nan, "(1e999 - 1e999)"), (-0.0, "-0"), (0.0, "0")]
+    for v, text in cases:
+        assert to_text(Num(v)) == text
+        assert _bitwise(_value(parse(text)), v), text
+        # inside a product the sign binds like unary minus
+        e = BinOp("*", Var("x1"), Num(v))
+        for x1 in (2.0, -0.0):
+            want = _value(e, {"x1": x1})
+            assert _bitwise(_value(parse(to_text(e)), {"x1": x1}), want), to_text(e)
+    assert str(parse("x1 + 1e400")) == "x1 + 1e999"
+    d = differentiate(parse("1e400*x1 - 1e400*x1"), "x1")
+    assert math.isnan(d.value) and math.isnan(_value(parse(str(d))))
+    d = differentiate(parse("-x2"), "x1")
+    assert str(d) == "-0" and _bitwise(_value(parse(str(d))), -0.0)
+
+
+def test_evaluate_non_finite_constant():
+    with pytest.raises(NonFiniteError, match=r"'x1 \+ 1e999'"):
+        evaluate(parse("x1 + 1e400"), {"x1": 1.0})
+    with pytest.raises(NonFiniteError):
+        evaluate(differentiate(parse("1e400*x1 - 1e400*x1"), "x1"), {})
+
+
 def test_syntax_error_offsets():
     with pytest.raises(ExprSyntaxError) as ei:
         parse("x1 + ) * 2")

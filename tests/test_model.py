@@ -255,6 +255,17 @@ def test_metric_bounds_pass_and_fail():
     assert not check_metric_bounds(low, grid).passed
 
 
+def test_metric_bounds_tolerance_boundary():
+    # M = 1 against alpha1 = 1 + k * METRIC_BOUNDS_TOL: passes at k = 0.5,
+    # fails at k = 3 (and symmetrically against alpha2)
+    grid = grid_of([(-1.0, 1.0, 3)], [[0.0]])
+    for k, passed in ((0.5, True), (3.0, False)):
+        low = metric_of([["1"]], 1.0 + k * METRIC_BOUNDS_TOL, 2.0, 0.5)
+        high = metric_of([["1"]], 0.5, 1.0 - k * METRIC_BOUNDS_TOL, 0.5)
+        assert check_metric_bounds(low, grid).passed is passed
+        assert check_metric_bounds(high, grid).passed is passed
+
+
 def _bounds_per_t(met, grid, tol):
     """The former scan: one M evaluation and one eigvalsh per t sample,
     keeping the first extreme point in grid order."""

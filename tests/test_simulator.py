@@ -8,6 +8,7 @@ import pytest
 from ccmkit.controller import ControllerConfig
 from ccmkit.model import bundled_spec_path, load_spec_file
 from ccmkit.simulator import (
+    TARGET_TOL,
     ConvergenceReport,
     NonFiniteStateError,
     Trajectory,
@@ -111,6 +112,23 @@ def test_closed_loop_rejects_inconsistent_target():
                              x_star=np.array([1.0, 1.0]),
                              u_star=np.zeros(1),
                              x0=np.zeros(2), horizon=2.0)
+
+
+def test_closed_loop_target_tolerance_boundary():
+    # x* = c t under u* = 0 on dx/dt = u: re-integration stays at 0, so
+    # the deviation is c at t = 1 against the tolerance TARGET_TOL * 1
+    sys, met = system_of(["0"], [["1"]]), metric_of([["1"]], 1.0, 1.0, 0.5)
+    cfg = ControllerConfig(lam=0.5, path_segments=4)
+
+    def run(c):
+        return simulate_closed_loop(sys, met, cfg, x_star=lambda t: np.array([c * t]),
+                                    u_star=np.zeros(1), x0=np.ones(1),
+                                    horizon=1.0, step=0.1)
+
+    with pytest.raises(ValueError, match="deviates by 3.000e-06"):
+        run(3.0 * TARGET_TOL)
+    traj, _ = run(0.5 * TARGET_TOL)
+    assert traj.times.shape == (11,)
 
 
 def test_closed_loop_double_integrator_per_step_decrease():

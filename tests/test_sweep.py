@@ -10,6 +10,7 @@ in grid order with their cap of 16.
 """
 
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -40,19 +41,19 @@ RTOL = 1e-12
 
 def _bundled(name, lam=None):
     sys, met, grid = load_spec(bundled_spec_path(name))
-    return sys, met, grid, met.lam if lam is None else lam
+    return sys, met if lam is None else replace(met, lam=lam), grid
 
 
 def _curved():
     sys, met = curved_system()
     grid = grid_of([(-2.0, 2.0, 41), (-2.0, 2.0, 41)], [[0.0]],
                    t_samples=(0.0, 0.4, 1.3))
-    return sys, met, grid, met.lam
+    return sys, met, grid
 
 
 def _two_input():
     sys, met, grid = two_input_system()
-    return sys, met, grid, met.lam
+    return sys, met, grid
 
 
 def _orthogonality_failure():
@@ -60,7 +61,7 @@ def _orthogonality_failure():
     sys = system_of(["0", "0"], [["1"], ["x2"]])
     met = metric_of([["1", "0"], ["1"]], 1.0, 1.0, 0.5)
     grid = grid_of([(-1.0, 1.0, 21), (-1.0, 1.0, 21)], [[0.0]])
-    return sys, met, grid, met.lam
+    return sys, met, grid
 
 
 def _orthogonality_near_tolerance():
@@ -70,7 +71,7 @@ def _orthogonality_near_tolerance():
     sys = system_of(["-x1", "-x2"], [["1"], ["2.5e-8*x2"]])
     met = metric_of([["1", "0"], ["1"]], 1.0, 1.0, 0.5)
     grid = grid_of([(-1.0, 1.0, 5), (-1.0, 1.0, 5)], [[0.0]])
-    return sys, met, grid, met.lam
+    return sys, met, grid
 
 
 def _three_state_two_input():
@@ -81,7 +82,7 @@ def _three_state_two_input():
     met = metric_of([["2 + 0.5*sin(x1)", "0.1*x3", "0"],
                      ["2", "0.2"], ["1.5 + 0.3*cos(x2)"]], 0.5, 3.0, 0.4)
     grid = grid_of([(-1.0, 1.0, 9)] * 3, [[0.0, 0.0]], t_samples=(0.0, 0.5))
-    return sys, met, grid, met.lam
+    return sys, met, grid
 
 
 def _three_state_one_input():
@@ -92,7 +93,16 @@ def _three_state_one_input():
     met = metric_of([["2 + 0.5*sin(x1)", "0.1*x3", "0"],
                      ["2", "0.2"], ["1.5 + 0.3*cos(x2)"]], 0.5, 3.0, 0.4)
     grid = grid_of([(-1.0, 1.0, 7)] * 3, [[0.0]], t_samples=(0.0, 0.5))
-    return sys, met, grid, met.lam
+    return sys, met, grid
+
+
+def _indefinite_metric():
+    # M = diag(1, -9) with the kernel e1: the margin -5e-7 lies between
+    # 1e-7 (1 + |lambda_min|) and 1e-7 (1 + |lambda_max|)
+    sys = system_of(["-0.5*x1 - 2.5e-7*x1", "-x2"], [["0"], ["1"]])
+    met = metric_of([["1", "0"], ["-9"]], -9.0, 1.0, 0.5)
+    grid = grid_of([(-1.0, 1.0, 5), (-1.0, 1.0, 5)], [[0.0]])
+    return sys, met, grid
 
 
 CASES = {
@@ -106,16 +116,17 @@ CASES = {
     "counterexample-lambda-1.5": lambda: _bundled("counterexample", 1.5),
     "three-state-two-input": _three_state_two_input,
     "three-state-one-input": _three_state_one_input,
+    "indefinite-metric": _indefinite_metric,
 }
 
 
 @lru_cache(maxsize=None)
 def _case(name):
-    sys, met, grid, lam = CASES[name]()
-    return sys, met, grid, lam, _reference_rows(sys, met, grid, lam)
+    sys, met, grid = CASES[name]()
+    return sys, met, grid, _reference_rows(sys, met, grid)
 
 
-def _reference_rows(sys, met, grid, lam):
+def _reference_rows(sys, met, grid):
     """Per-point results in grid order (t samples outermost)."""
     plant = plant_for(sys, met)
     X = grid.x_points()
@@ -132,7 +143,7 @@ def _reference_rows(sys, met, grid, lam):
                    "margin": math.nan, "orth_ok": True, "orth_residual": 0.0}
             if N.shape[1]:
                 orth = ref.check_orthogonality(H, N)
-                row.update(margin=ref.check_ccm_point(raw, lam), orth_ok=orth.passed,
+                row.update(margin=ref.check_ccm_point(raw, met.lam), orth_ok=orth.passed,
                            orth_residual=orth.residual)
             try:
                 cert = ref.construct_psi(ref.compute_Q(raw), H)
@@ -161,8 +172,8 @@ def _same(got, want, where="result"):
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_sweep_matches_point_functions(name):
-    sys, met, grid, lam, rows = _case(name)
-    sw = _sweep(sys, met, grid, lam)
+    sys, met, grid, rows = _case(name)
+    sw = _sweep(sys, met, grid)
     assert sw.x.tolist() == [r["x"] for r in rows]
     assert sw.t.tolist() == [r["t"] for r in rows]
     assert np.isnan(sw.margin).tolist() == [r["vacuous"] for r in rows]
@@ -215,8 +226,8 @@ def _reference_condition1(rows):
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_summaries_keep_grid_order_and_cap(name):
-    sys, met, grid, lam, rows = _case(name)
-    got = check_contraction(sys, met, grid, lam=lam).to_dict()
+    sys, met, grid, rows = _case(name)
+    got = check_contraction(sys, met, grid).to_dict()
     want = _reference_contraction(rows)
     _same({k: got[k] for k in want}, want, "contraction")
     assert got["orthogonality"]["passed"] == all(r["orth_ok"] for r in rows)
@@ -227,14 +238,13 @@ def test_summaries_keep_grid_order_and_cap(name):
     want = _reference_condition1(rows)
     _same({k: got[k] for k in want}, want, "condition1")
 
-    if lam == met.lam:
-        strong = check_strong_conditions(sys, met, grid)
-        _same(strong.max_H_norm, max(r["h_norm"] for r in rows), "max_H_norm")
+    strong = check_strong_conditions(sys, met, grid)
+    _same(strong.max_H_norm, max(r["h_norm"] for r in rows), "max_H_norm")
 
 
 def test_orthogonality_residual_between_one_and_ten_tolerances():
-    sys, met, grid, lam, rows = _case("orthogonality-5x-tolerance")
-    sw = _sweep(sys, met, grid, lam)
+    sys, met, grid, rows = _case("orthogonality-5x-tolerance")
+    sw = _sweep(sys, met, grid)
     ratio = sw.orth_residual / (1e-8 * (1.0 + sw.h_norm))
     assert ((ratio > 4.9) & (ratio < 5.1)).all()
     assert not sw.orth_ok.any() and not any(r["orth_ok"] for r in rows)
@@ -244,7 +254,7 @@ def test_orthogonality_residual_between_one_and_ten_tolerances():
 
 
 def test_capped_lists_on_the_curved_grid():
-    sys, met, grid, lam, rows = _case("curved-41x41-3t")
+    sys, met, grid, rows = _case("curved-41x41-3t")
     c = check_contraction(sys, met, grid)
     c1 = check_condition1(sys, met, grid)
     assert sum(not r["valid"] for r in rows) == c1.invalid_count == 5040
@@ -257,7 +267,7 @@ def test_capped_lists_on_the_curved_grid():
                                   "three-state-two-input"])
 def test_one_point_calls_match_point_functions(name):
     # kernel_basis and construct_psi are one-point calls into the stages
-    sys, met, grid, _lam, _rows = _case(name)
+    sys, met, grid, _rows = _case(name)
     rb = plant_for(sys, met).raw_batch(grid.x_points(), float(grid.t_samples[-1]))
     for i in range(rb.f.shape[0]):
         raw = ref.raw_slice(rb, i)
@@ -294,7 +304,7 @@ def _ray(rows):
                                   "bounded-gain", "two-input",
                                   "double-integrator"])
 def test_power_law_fit_matches_point_loop(name):
-    sys, met, _grid, _lam, rows = _case(name)
+    sys, met, _grid, rows = _case(name)
     r = _ray(rows)
     for scales in (None, np.array([0.5, 0.25, 0.125, 1e-3, 1e-4]),
                    np.array([0.5]), np.array([])):
@@ -312,16 +322,16 @@ def test_non_finite_flagged_once_on_the_stacked_batch():
     sys = system_of(["-x1 + 1/x1"], [["1"]])
     with pytest.raises(NonFiniteEvalError,
                        match=r"entry f\[0\] at x=\[0\.0\], t=0\.25$"):
-        _sweep(sys, met, grid, 0.5)
+        _sweep(sys, met, grid)
     # M and B both degenerate at 0: M is named, not an SVD failure
     sys = system_of(["-x1"], [["x1^2"]])
     with pytest.raises(NonFiniteEvalError, match=r"entry M\[0\]\[0\] at x=\[0\.0\]"):
-        _sweep(sys, metric_of([["1 + 1/x1^2"]], 1.0, 1.0, 0.5), grid, 0.5)
+        _sweep(sys, metric_of([["1 + 1/x1^2"]], 1.0, 1.0, 0.5), grid)
     # the first offending point in grid order carries its own t
     sys = system_of(["-x1"], [["1/(x1 - t)"]])
     with pytest.raises(NonFiniteEvalError,
                        match=r"entry B\[0\]\[0\] at x=\[0\.5\], t=0\.5$"):
-        _sweep(sys, met, grid, 0.5)
+        _sweep(sys, met, grid)
     # the power-law probe flags the points of its ray the same way
     sys = system_of(["-x1"], [["x1^2"]])
     with pytest.raises(NonFiniteEvalError,

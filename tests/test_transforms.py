@@ -9,6 +9,7 @@ import pytest
 from ccmkit.differential import compute_H, compute_Q
 from ccmkit.model import bundled_spec_path, load_spec_file, plant_for
 from ccmkit.transforms import (
+    DUAL_TOL,
     DualPoint,
     FeedbackTransform,
     apply_feedback_transform,
@@ -93,16 +94,6 @@ def test_dual_residual_sign_matches_psi():
     assert construct_psi(compute_Q(raw), H).psi == pytest.approx(32.0, rel=1e-12)
 
 
-def test_dual_residual_derives_missing_dWdx():
-    sys, met = curved_system()
-    raw = plant_for(sys, met).raw(np.array([0.3, -1.1]), 0.2)
-    dp = dual_point(raw, np.array([1.0, 2.0]))
-    bare = DualPoint(W=dp.W, eta=dp.eta, dWdx=None)
-    for psi in (0.0, 1.0, 17.5):
-        assert dual_constraint_residual(bare, raw, psi) == pytest.approx(
-            dual_constraint_residual(dp, raw, psi), rel=1e-12, abs=1e-15)
-
-
 def _feasible_psi(duals, raws, eta_lists):
     worst = 0.0
     for dp, raw, etas in zip(duals, raws, eta_lists):
@@ -147,6 +138,23 @@ def test_convexity_probe_rejects_infeasible_input():
         convexity_probe([dp], [dp], [raw], 1.0, 32.0)   # needs 32 at x=0.5
     with pytest.raises(ValueError, match="equal length"):
         convexity_probe([dp], [dp, dp], [raw], 32.0, 32.0)
+
+
+def test_convexity_probe_dual_tolerance_boundary():
+    # at x = 0.5 the residual is 2 - psi/16 for eta = 1, zero at psi = 32:
+    # three DUAL_TOL above zero is infeasible, half of it is not
+    sys, met = scalar_counterexample()
+    raw = plant_for(sys, met).raw(np.array([0.5]), 0.0)
+    dp = dual_point(raw, np.array([1.0]))
+    for excess, feasible in ((3.0, False), (0.5, True)):
+        psi = 32.0 - 16.0 * excess * DUAL_TOL
+        assert dual_constraint_residual(dp, raw, psi) == pytest.approx(
+            excess * DUAL_TOL, rel=1e-6)
+        if feasible:
+            assert convexity_probe([dp], [dp], [raw], psi, 32.0).feasible
+        else:
+            with pytest.raises(ValueError, match="first certificate is not feasible"):
+                convexity_probe([dp], [dp], [raw], psi, 32.0)
 
 
 def test_convex_combination_is_affine_per_input():

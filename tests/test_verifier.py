@@ -8,6 +8,7 @@ tests/reference.py and for the stacked sweep at the same point.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ import reference as ref
 from ccmkit.differential import compute_H, compute_Q
 from ccmkit.model import bundled_spec_path, load_spec, plant_for
 from ccmkit.verifier import (
+    C2_TOL,
+    EPS_MARGIN,
     CertificateInvalid,
     _sweep,
     check_condition1,
@@ -29,9 +32,9 @@ from ccmkit.verifier import (
 from conftest import grid_of, metric_of, scalar_counterexample, system_of
 
 
-def _at_point(sys, met, x, lam):
+def _at_point(sys, met, x):
     """The stacked sweep on a grid of the single point x."""
-    return _sweep(sys, met, grid_of([(v, v, 1) for v in x], [[0.0] * sys.m]), lam)
+    return _sweep(sys, met, grid_of([(v, v, 1) for v in x], [[0.0] * sys.m]))
 
 
 def test_kernel_basis_cases():
@@ -67,7 +70,7 @@ def test_orthogonality_check():
 
     # the sweep at B = (1, x2)', x = 0: kernel e2, H_0 = [[0, 1], [1, 2]]
     sys = system_of(["0", "0"], [["1"], ["x2"]])
-    sw = _at_point(sys, metric_of([["1", "0"], ["1"]], 1.0, 1.0, 0.5), [0.0, 0.0], 0.5)
+    sw = _at_point(sys, metric_of([["1", "0"], ["1"]], 1.0, 1.0, 0.5), [0.0, 0.0])
     assert not sw.orth_ok[0] and sw.orth_residual[0] == pytest.approx(2.0)
 
 
@@ -166,11 +169,11 @@ def test_ccm_point_margins():
     for lam, want in ((0.5, -1.0), (1.5, 1.0)):
         assert ref.check_ccm_point(plant.raw(np.array([0.0]), 0.0), lam) == \
             pytest.approx(want, abs=1e-14)
-        assert _at_point(sys, met, [0.0], lam).margin[0] == pytest.approx(
+        assert _at_point(sys, replace(met, lam=lam), [0.0]).margin[0] == pytest.approx(
             want, abs=1e-14)
     # elsewhere the input spans everything: vacuous
     assert ref.check_ccm_point(plant.raw(np.array([0.7]), 0.0), 0.5) == -math.inf
-    assert math.isnan(_at_point(sys, met, [0.7], 0.5).margin[0])
+    assert math.isnan(_at_point(sys, met, [0.7]).margin[0])
 
 
 def test_ccm_point_double_integrator_closed_form():
@@ -180,7 +183,7 @@ def test_ccm_point_double_integrator_closed_form():
     # N ~ (sqrt(3), -1)/2, N'(A'M + MA)N = -1, N'MN = sqrt(3)/2
     want = lam * math.sqrt(3.0) - 1.0
     assert ref.check_ccm_point(raw, lam) == pytest.approx(want, abs=1e-12)
-    assert _at_point(sysd, metd, [0.3, -1.2], lam).margin[0] == pytest.approx(
+    assert _at_point(sysd, metd, [0.3, -1.2]).margin[0] == pytest.approx(
         want, abs=1e-12)
 
 
@@ -189,8 +192,22 @@ def test_eps_margin_scales_with_metric():
     assert ref.eps_margin(np.diag([1.0, 9.0])) == pytest.approx(1e-6)
     sys = system_of(["0", "0"], [["1"], ["0"]])
     for M, want in (([["1", "0"], ["1"]], 2e-7), ([["1", "0"], ["9"]], 1e-6)):
-        sw = _at_point(sys, metric_of(M, 1.0, 9.0, 0.5), [0.0, 0.0], 0.5)
+        sw = _at_point(sys, metric_of(M, 1.0, 9.0, 0.5), [0.0, 0.0])
         assert sw.eps[0] == pytest.approx(want)
+
+
+def test_margin_threshold_of_indefinite_metric():
+    # M = diag(1, -9), B = e2: the kernel is e1 and the margin is
+    # 2 (dfdx[0, 0] + lam) = -5 EPS_MARGIN, inside the threshold
+    # EPS_MARGIN (1 + 9) set by |lambda_min|, outside EPS_MARGIN (1 + 1)
+    sys = system_of([f"-0.5*x1 - {2.5 * EPS_MARGIN!r}*x1", "-x2"], [["0"], ["1"]])
+    met = metric_of([["1", "0"], ["-9"]], -9.0, 1.0, 0.5)
+    sw = _at_point(sys, met, [0.3, -0.2])
+    assert sw.margin[0] == pytest.approx(-5.0 * EPS_MARGIN, rel=1e-6)
+    assert sw.eps[0] == pytest.approx(10.0 * EPS_MARGIN, rel=1e-12)
+    res = check_contraction(sys, met, grid_of([(-1.0, 1.0, 3)] * 2, [[0.0]]))
+    assert not res.passed and len(res.failures) == 9
+    assert {f["reason"] for f in res.failures} == {"margin"}
 
 
 def test_contraction_sweep_counterexample():
@@ -203,7 +220,7 @@ def test_contraction_sweep_counterexample():
     assert res.worst_at["x"] == [0.0]
     assert res.orthogonality.passed
 
-    res = check_contraction(sys, met, grid, lam=1.5)
+    res = check_contraction(sys, replace(met, lam=1.5), grid)
     assert not res.passed
     assert res.failures and res.failures[0]["reason"] == "margin"
     assert res.failures[0]["margin"] == pytest.approx(1.0, abs=1e-12)
@@ -272,6 +289,18 @@ def test_strong_conditions():
     assert res.psi_zero_confirmed is None
     assert res.max_H_norm == pytest.approx(np.max(np.abs(np.cos(
         np.linspace(-3, 3, 121)))), rel=1e-12)
+
+
+def test_strong_conditions_c2_tolerance_boundary():
+    # B = c x1 with M = 1 gives H = 2c at every point: C2 holds at
+    # ||H|| = C2_TOL / 2 and fails at 3 C2_TOL
+    met = metric_of([["1"]], 1.0, 1.0, 0.5)
+    grid = grid_of([(-1.0, 1.0, 5)], [[0.0]])
+    for k, passed in ((0.5, True), (3.0, False)):
+        sys = system_of(["-x1"], [[f"{0.5 * k * C2_TOL!r}*x1"]])
+        res = check_strong_conditions(sys, met, grid)
+        assert res.max_H_norm == pytest.approx(k * C2_TOL, rel=1e-12)
+        assert res.c2_passed is passed
 
 
 def test_verify_verdicts_and_report_shape():
