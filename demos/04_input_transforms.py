@@ -85,7 +85,7 @@ print(f"  kappa = {r.kappa_max:g}, gamma = {r.gamma_min:g}, "
       f"transported psibar max = {r.psibar_max:.4f}")
 print(f"  bound slack >= {r.min_slack:.4f} over {r.checked_points} "
       f"(point, tangent) pairs; margins match to {r.margin_max_diff:g}")
-print(f"  cross-checked against finite differences at {r.fd_checked} "
+print(f"  cross-checked against the transformed input slope at {r.fd_checked} "
       f"points (max err {r.fd_max_err:.2e}); passed = {r.passed}")
 
 # 4. mixing two actuators through a shear: kappa/gamma pick up the

@@ -4,7 +4,8 @@ Subpackage map:
 
 * expr         -- expression parsing, evaluation, differentiation
 * model        -- system/metric/grid types, spec files, compiled raw
-                  evaluation (stacked, or one point with Plant.raw)
+                  evaluation (stacked, or one point with Plant.raw), and
+                  Report, whose to_dict serializes every result
 * differential -- H_i, Q and the affine-in-u feedback terms behind (a, b),
                   over stacked points
 * verifier     -- kernel, margin and psi-certificate stages over stacked
@@ -61,7 +62,6 @@ from .model import (  # noqa: F401
     SystemSpec,
     bundled_spec_path,
     check_metric_bounds,
-    load_spec,
     load_spec_file,
     plant_for,
 )

@@ -2,7 +2,7 @@
 
     ccmkit validate --spec PATH
     ccmkit verify   --spec PATH [--out DIR] [--lambda F] [--grid-density N]
-                    [--threads N] [--seed N] [--no-timestamp]
+                    [--seed N] [--no-timestamp]
     ccmkit simulate --spec PATH [--out DIR] [--horizon F] [--step F]
                     [--segments N] [--lambda F] [--seed N] [--no-timestamp]
     ccmkit demo-counterexample [--spec PATH] [--out DIR] [...same flags]
@@ -13,8 +13,7 @@ double-integrator, bounded-gain).  Exit codes: 0 checks passed,
 value, or a spec that evaluates to inf or nan on the grid),
 3 controller infeasible.
 Reports are JSON with sorted keys; with --no-timestamp two runs on the
-same inputs and seed produce byte-identical files.  --threads is
-accepted and ignored: verify checks the grid in one vectorized pass.
+same inputs and seed produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -61,8 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="integration step override")
     common.add_argument("--segments", type=int, default=None,
                         help="path segments override for the controller")
-    common.add_argument("--threads", type=int, default=None,
-                        help="accepted and ignored (verify runs one vectorized pass)")
     common.add_argument("--seed", type=int, default=None,
                         help="override the grid RNG seed")
     common.add_argument("--no-timestamp", action="store_true",

@@ -9,15 +9,17 @@ evaluated M is symmetric bitwise, not just to rounding.
 
 Spec files are JSON with "schema": 1; the layout is documented in the
 README and validated field by field here (fail closed, named field in
-every error).
+every error).  Report is the base every result dataclass serializes
+through.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+import typing
+from dataclasses import dataclass, field, fields
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -381,12 +383,6 @@ def _load_transform(t, n: int, m: int, xvars: frozenset[str]) -> dict | None:
     return {"alpha": alpha, "beta": beta}
 
 
-def load_spec(path: str | Path) -> tuple[SystemSpec, MetricSpec, GridSpec]:
-    """Load a spec file; returns (system, metric, grid)."""
-    sf = load_spec_file(path)
-    return sf.system, sf.metric, sf.grid
-
-
 def bundled_spec_path(name: str) -> Path:
     """Path of a spec shipped with the package: counterexample,
     double-integrator or bounded-gain."""
@@ -467,26 +463,68 @@ def _flag_non_finite(r: RawEval, x, t) -> None:
 
 
 # ---------------------------------------------------------------------------
+# reports
+
+@cache
+def _report_fields(cls) -> list:
+    """(field, output key, scalar type or None) for each field of cls; the
+    scalar type is the one its annotation names, also inside X | None."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        args = typing.get_args(hints[f.name]) or (hints[f.name],)
+        out.append((f, f.metadata.get("key", f.name),
+                    next((a for a in args if a in (bool, int, float, str)), None)))
+    return out
+
+
+def _plain(v, scalar=None):
+    if v is None or isinstance(v, (str, dict)):
+        return v
+    if isinstance(v, Report):
+        return v.to_dict()
+    if isinstance(v, (list, tuple)):
+        return [_plain(e) for e in v]
+    if scalar is not None:
+        return scalar(v)
+    return v.item() if isinstance(v, np.generic) else v
+
+
+class Report:
+    """Base of the result dataclasses.  to_dict writes each field under
+    its name, or under metadata "key"; a field with metadata "derive" is
+    replaced by the entries that function returns for its value.  Values
+    become the scalar type their annotation names, nested results
+    recurse, tuples and lists become lists, and None, dicts and strings
+    pass through."""
+
+    def to_dict(self) -> dict:
+        out = {}
+        for f, key, scalar in _report_fields(type(self)):
+            v = getattr(self, f.name)
+            if "derive" in f.metadata:
+                out.update(f.metadata["derive"](v))
+            else:
+                out[key] = _plain(v, scalar)
+        return out
+
+
+def location(x: np.ndarray, t: np.ndarray, i: int) -> dict:
+    """Report entry naming sample i of points x (P, n) at times t (P,)."""
+    return {"x": x[i].tolist(), "t": float(t[i])}
+
+
+# ---------------------------------------------------------------------------
 # metric bounds
 
 @dataclass
-class MetricBoundsResult:
+class MetricBoundsResult(Report):
     passed: bool
     min_eig: float
     max_eig: float
     argmin: dict = field(default_factory=dict)
     argmax: dict = field(default_factory=dict)
     tol: float = METRIC_BOUNDS_TOL
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "min_eig": float(self.min_eig),
-            "max_eig": float(self.max_eig),
-            "argmin": self.argmin,
-            "argmax": self.argmax,
-            "tol": float(self.tol),
-        }
 
 
 def check_metric_bounds(met: MetricSpec, grid: GridSpec) -> MetricBoundsResult:
@@ -509,5 +547,4 @@ def metric_bounds(met: MetricSpec, lo: np.ndarray, hi: np.ndarray, x: np.ndarray
     tol = METRIC_BOUNDS_TOL
     passed = bool(lo[i] >= met.alpha1 - tol and hi[j] <= met.alpha2 + tol)
     return MetricBoundsResult(passed, float(lo[i]), float(hi[j]),
-                              {"x": x[i].tolist(), "t": float(t[i])},
-                              {"x": x[j].tolist(), "t": float(t[j])})
+                              location(x, t, i), location(x, t, j))

@@ -12,12 +12,12 @@ rate-discounted deviation against sqrt(alpha2 / alpha1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .controller import ControllerConfig, Infeasible, tracking_feedback
-from .model import MetricSpec, SystemSpec
+from .model import MetricSpec, Report, SystemSpec
 
 RATE_FIT_WINDOW = 0.8       # trailing fraction of the horizon used for the fit
 RATE_SLACK = 0.95           # fitted rate must reach this fraction of lambda
@@ -93,9 +93,15 @@ def integrate(sys: SystemSpec, u_of_t, x0: np.ndarray, t0: float = 0.0,
     return Trajectory(times=times, states=states, inputs=inputs)
 
 
+def _v_ends(V: np.ndarray) -> dict:
+    """The report keeps the first and last tracking cost, not the series."""
+    return {"V_initial": float(V[0]) if V.size else None,
+            "V_final": float(V[-1]) if V.size else None}
+
+
 @dataclass
-class ConvergenceReport:
-    V: np.ndarray
+class ConvergenceReport(Report):
+    V: np.ndarray = field(metadata={"derive": _v_ends})
     claimed_rate: float
     claimed_overshoot: float
     fitted_rate: float | None = None
@@ -107,23 +113,6 @@ class ConvergenceReport:
     infeasible_message: str = ""
     abort_time: float | None = None
     passed: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "claimed_rate": float(self.claimed_rate),
-            "claimed_overshoot": float(self.claimed_overshoot),
-            "fitted_rate": None if self.fitted_rate is None else float(self.fitted_rate),
-            "rate_status": self.rate_status,
-            "overshoot": None if self.overshoot is None else float(self.overshoot),
-            "rate_pass": bool(self.rate_pass),
-            "overshoot_pass": bool(self.overshoot_pass),
-            "V_initial": float(self.V[0]) if self.V.size else None,
-            "V_final": float(self.V[-1]) if self.V.size else None,
-            "infeasible_time": self.infeasible_time,
-            "infeasible_message": self.infeasible_message,
-            "abort_time": self.abort_time,
-            "passed": bool(self.passed),
-        }
 
 
 def _target_states(traj: Trajectory, x_star, n: int) -> np.ndarray:

@@ -20,14 +20,14 @@ verifies the transported bound and margin coherence pointwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import expr
-from .differential import compute_H, feedback_terms  # noqa: F401
-from .model import GridSpec, MetricSpec, RawEval, SpecFile, SystemSpec
+from .differential import compute_H  # noqa: F401
+from .model import GridSpec, MetricSpec, RawEval, Report, SpecFile, SystemSpec
 from .verifier import _sweep, construct_psi  # noqa: F401
 
 # compute_H and construct_psi are not used here; they stay importable from
@@ -38,9 +38,8 @@ DUAL_TOL = 1e-9           # absolute slack on a dual constraint residual
 CONVEX_THETAS = (0.25, 0.5, 0.75)  # convex weights convexity_probe tests
 SLACK_TOL = 1e-8          # absolute slack on the transported pairing bound
 MARGIN_TOL = 1e-9         # kernel margins of both systems agree within this
-FD_POINTS = 8             # valid points whose v-gradient is differenced
-FD_STEP = 1e-5            # central-difference step in v
-FD_TOL = 1e-6             # difference error, relative as |fd - g| / (1 + |g|)
+FD_POINTS = 8             # valid points whose v-gradient is cross-checked
+FD_TOL = 1e-6             # slope error, relative as |slope - g| / (1 + |g|)
 
 
 @dataclass
@@ -79,17 +78,11 @@ def dual_constraint_residual(dp: DualPoint, raw: RawEval, psi: float) -> float:
 
 
 @dataclass
-class ConvexityResult:
+class ConvexityResult(Report):
     feasible: bool
     worst_residual: float
     thetas: tuple
     samples: int
-
-    def to_dict(self) -> dict:
-        return {"feasible": bool(self.feasible),
-                "worst_residual": float(self.worst_residual),
-                "thetas": [float(t) for t in self.thetas],
-                "samples": int(self.samples)}
 
 
 def convexity_probe(duals1: list[DualPoint], duals2: list[DualPoint],
@@ -170,16 +163,6 @@ class FeedbackTransform:
         return a, b, kappa, gamma
 
     @staticmethod
-    def identity(n: int, m: int) -> "FeedbackTransform":
-        zero = expr.Num(0.0)
-        one = expr.Num(1.0)
-        return FeedbackTransform(
-            n=n,
-            alpha=[zero for _ in range(m)],
-            beta=[[one if i == j else zero for j in range(m)] for i in range(m)],
-        )
-
-    @staticmethod
     def from_spec(sf: SpecFile) -> "FeedbackTransform":
         if sf.transform is None:
             raise ValueError(f"spec {sf.name!r} carries no transform block")
@@ -213,7 +196,7 @@ def apply_feedback_transform(sys: SystemSpec, tf: FeedbackTransform) -> SystemSp
 
 
 @dataclass
-class InvarianceResult:
+class InvarianceResult(Report):
     passed: bool
     checked_points: int
     skipped_invalid: int
@@ -226,21 +209,6 @@ class InvarianceResult:
     margin_max_diff: float = 0.0
     margins_match: bool = True
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "checked_points": int(self.checked_points),
-            "skipped_invalid": int(self.skipped_invalid),
-            "min_slack": float(self.min_slack),
-            "kappa_max": float(self.kappa_max),
-            "gamma_min": float(self.gamma_min),
-            "psibar_max": float(self.psibar_max),
-            "fd_checked": int(self.fd_checked),
-            "fd_max_err": float(self.fd_max_err),
-            "margin_max_diff": float(self.margin_max_diff),
-            "margins_match": bool(self.margins_match),
-        }
-
 
 def invariance_probe(sys: SystemSpec, met: MetricSpec, tf: FeedbackTransform,
                      grid: GridSpec) -> InvarianceResult:
@@ -252,10 +220,10 @@ def invariance_probe(sys: SystemSpec, met: MetricSpec, tf: FeedbackTransform,
         max_i |dVdot/dv_i| <= psibar * (dV/ddelta) B beta beta' B' (dV/ddelta)'
 
     up to SLACK_TOL, with psibar = kappa psi / gamma and dVdot/dv =
-    (delta'H delta) beta.  Central differences through the transformed
-    system cross-check the v-gradient at the first FD_POINTS points, to
-    FD_TOL.  The kernel margins of both systems must agree pointwise to
-    MARGIN_TOL (both vacuous counts as a match).
+    (delta'H delta) beta.  At the first FD_POINTS points the transformed
+    system's own input slope delta' Htilde_i delta cross-checks that
+    v-gradient, to FD_TOL.  The kernel margins of both systems must
+    agree pointwise to MARGIN_TOL (both vacuous counts as a match).
     """
     sw = _sweep(sys, met, grid)
     sw_t = _sweep(apply_feedback_transform(sys, tf), met, grid)
@@ -271,12 +239,14 @@ def invariance_probe(sys: SystemSpec, met: MetricSpec, tf: FeedbackTransform,
     margins_ok = not np.any(diff > MARGIN_TOL)
 
     # each tangent at every point at once: p_i = delta' H_i delta,
-    # grad_v = beta' p and w = beta' B' M delta
+    # grad_v = beta' p and w = beta' B' M delta; at the first fd_checked
+    # points grad_v must equal the transformed slope delta' Htilde_i delta
     H, M = sw.H[idx], sw.raw.M[idx]
     betaT = np.swapaxes(beta, -1, -2)
     BT = np.swapaxes(sw.raw.B[idx], -1, -2)
     fd_checked = min(FD_POINTS, idx.size)
-    min_slack, fd_grads = math.inf, []
+    Ht = sw_t.H[idx[:fd_checked]]
+    min_slack, fd_max_err = math.inf, 0.0
     for d in deltas:
         dc = d[:, None]
         grad_v = (betaT @ ((d[None, :] @ H) @ dc)[..., 0])[..., 0]
@@ -284,17 +254,9 @@ def invariance_probe(sys: SystemSpec, met: MetricSpec, tf: FeedbackTransform,
         rhs = psibar * 4.0 * (np.swapaxes(w, -1, -2) @ w)[:, 0, 0]
         slack = rhs - np.max(np.abs(grad_v), axis=-1, initial=0.0)
         min_slack = min(min_slack, float(np.min(slack, initial=math.inf)))
-        fd_grads.append(grad_v[:fd_checked])
-
-    # central differences of the transformed system's a(v) at lambda = 0,
-    # at the first fd_checked valid points and every tangent at once
-    rows = idx[:fd_checked, None]
-    raw_t = RawEval(*(getattr(sw_t.raw, f.name)[rows] for f in fields(RawEval)))
-    a0, slope, _, _ = feedback_terms(raw_t, deltas, 0.0)
-    step = slope @ (FD_STEP * np.eye(sys.m))
-    fd = ((a0[..., None] + step) - (a0[..., None] - step)) / (2.0 * FD_STEP)
-    g = np.swapaxes(np.asarray(fd_grads), 0, 1)
-    fd_max_err = float(np.max(np.abs(fd - g) / (1.0 + np.abs(g)), initial=0.0))
+        g = grad_v[:fd_checked]
+        err = np.abs((d @ Ht) @ d - g) / (1.0 + np.abs(g))
+        fd_max_err = max(fd_max_err, float(np.max(err, initial=0.0)))
 
     if not math.isfinite(min_slack):
         min_slack = 0.0

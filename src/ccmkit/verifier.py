@@ -29,9 +29,11 @@ from .model import (
     MetricBoundsResult,
     MetricSpec,
     RawEval,
+    Report,
     SystemSpec,
     _flag_non_finite,
     check_metric_bounds,  # noqa: F401
+    location,
     metric_bounds,
     plant_for,
 )
@@ -45,6 +47,7 @@ EPS_ORTH = 1e-8      # orthogonality / certificate residual scale
 EPS_MARGIN = 1e-7    # kernel margin strictness, times 1 + ||M||_2
 PSI_CAP = 1e6        # psi above this is treated as blow-up
 C2_TOL = 1e-8        # H_i considered identically zero below this
+MAX_EXAMPLES = 16    # entries kept in failures / invalid_examples, grid order
 
 SCOPE_NOTE = (
     "checked on the bounded grid below; a pass certifies these samples, "
@@ -61,14 +64,10 @@ class CertificateInvalid(Exception):
 
 
 @dataclass
-class OrthogonalityResult:
+class OrthogonalityResult(Report):
     passed: bool
     residual: float          # max_i ||N' H_i N||_F
     tol: float
-
-    def to_dict(self) -> dict:
-        return {"passed": bool(self.passed), "residual": float(self.residual),
-                "tol": float(self.tol)}
 
 
 @dataclass
@@ -265,12 +264,8 @@ def _sweep(sys: SystemSpec, met: MetricSpec, grid: GridSpec) -> _Sweep:
                   cert_residual=cert_residual, valid=valid, h_norm=np.max(Hn, axis=1))
 
 
-def _at(sw: _Sweep, i: int) -> dict:
-    return {"x": sw.x[i].tolist(), "t": float(sw.t[i])}
-
-
 @dataclass
-class ContractionResult:
+class ContractionResult(Report):
     passed: bool
     checked_points: int
     vacuous_points: int
@@ -279,41 +274,30 @@ class ContractionResult:
     failures: list = field(default_factory=list)
     orthogonality: OrthogonalityResult | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "checked_points": int(self.checked_points),
-            "vacuous_points": int(self.vacuous_points),
-            "worst_margin": None if self.worst_margin is None else float(self.worst_margin),
-            "worst_at": self.worst_at,
-            "failures": self.failures,
-            "orthogonality": None if self.orthogonality is None
-            else self.orthogonality.to_dict(),
-        }
-
 
 def _contraction(sw: _Sweep) -> ContractionResult:
     vacuous = np.isnan(sw.margin)
     orth_bad = ~sw.orth_ok
     margin_bad = sw.margin >= -sw.eps
     failures: list = []
-    for i in np.flatnonzero(orth_bad | margin_bad)[:16]:
+    for i in np.flatnonzero(orth_bad | margin_bad)[:MAX_EXAMPLES]:
+        at = location(sw.x, sw.t, i)
         if orth_bad[i]:
-            failures.append({**_at(sw, i), "reason": "orthogonality",
+            failures.append({**at, "reason": "orthogonality",
                              "residual": float(sw.orth_residual[i])})
         if margin_bad[i]:
-            failures.append({**_at(sw, i), "reason": "margin",
+            failures.append({**at, "reason": "margin",
                              "margin": float(sw.margin[i]), "eps": float(sw.eps[i])})
     worst, worst_at = None, {}
     if not vacuous.all():
         i = np.nanargmax(sw.margin)
-        worst, worst_at = float(sw.margin[i]), _at(sw, i)
+        worst, worst_at = float(sw.margin[i]), location(sw.x, sw.t, i)
     orth = OrthogonalityResult(not orth_bad.any(),
                                float(np.max(sw.orth_residual, initial=0.0)), EPS_ORTH)
     return ContractionResult(
         passed=not (orth_bad.any() or margin_bad.any()),
         checked_points=sw.x.shape[0], vacuous_points=int(vacuous.sum()),
-        worst_margin=worst, worst_at=worst_at, failures=failures[:16],
+        worst_margin=worst, worst_at=worst_at, failures=failures[:MAX_EXAMPLES],
         orthogonality=orth,
     )
 
@@ -329,7 +313,7 @@ def check_contraction(sys: SystemSpec, met: MetricSpec, grid: GridSpec) -> Contr
 
 
 @dataclass
-class PowerLawFit:
+class PowerLawFit(Report):
     """Least-squares slope of log psi against log scale along a ray."""
 
     exponent: float | None
@@ -337,15 +321,6 @@ class PowerLawFit:
     t: float
     scales: list = field(default_factory=list)
     psi_values: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "exponent": None if self.exponent is None else float(self.exponent),
-            "direction": self.direction,
-            "t": float(self.t),
-            "scales": [float(s) for s in self.scales],
-            "psi_values": [float(p) for p in self.psi_values],
-        }
 
 
 def fit_psi_power_law(sys: SystemSpec, met: MetricSpec, direction: np.ndarray,
@@ -376,7 +351,7 @@ def fit_psi_power_law(sys: SystemSpec, met: MetricSpec, direction: np.ndarray,
 
 
 @dataclass
-class Condition1Result:
+class Condition1Result(Report):
     passed: bool
     checked_points: int
     max_psi: float
@@ -387,27 +362,14 @@ class Condition1Result:
     blow_up: bool = False
     power_law: PowerLawFit | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "checked_points": int(self.checked_points),
-            "max_psi": float(self.max_psi),
-            "max_psi_at": self.max_psi_at,
-            "psi_cap": float(self.psi_cap),
-            "invalid_count": int(self.invalid_count),
-            "invalid_examples": self.invalid_examples,
-            "blow_up": bool(self.blow_up),
-            "power_law": None if self.power_law is None else self.power_law.to_dict(),
-        }
-
 
 def _condition1(sys: SystemSpec, met: MetricSpec, sw: _Sweep) -> Condition1Result:
     bad = np.flatnonzero(~sw.valid)
-    invalid_examples = [{**_at(sw, i), "residual": float(sw.cert_residual[i])}
-                        for i in bad[:16]]
+    invalid_examples = [{**location(sw.x, sw.t, i), "residual": float(sw.cert_residual[i])}
+                        for i in bad[:MAX_EXAMPLES]]
     psi = np.where(sw.valid, sw.psi, 0.0)
     i = int(np.argmax(psi))
-    max_psi, max_at = (float(psi[i]), _at(sw, i)) if psi[i] > 0.0 else (0.0, {})
+    max_psi, max_at = (float(psi[i]), location(sw.x, sw.t, i)) if psi[i] > 0.0 else (0.0, {})
     blow_up = bad.size > 0 or max_psi > PSI_CAP
     power_law = None
     if blow_up:
@@ -438,23 +400,13 @@ def check_condition1(sys: SystemSpec, met: MetricSpec, grid: GridSpec) -> Condit
 
 
 @dataclass
-class StrongConditionsResult:
+class StrongConditionsResult(Report):
     c1_passed: bool
     c2_passed: bool
     strong: bool
     max_H_norm: float
     c2_tol: float = C2_TOL
     psi_zero_confirmed: bool | None = None  # set when strong holds
-
-    def to_dict(self) -> dict:
-        return {
-            "c1_passed": bool(self.c1_passed),
-            "c2_passed": bool(self.c2_passed),
-            "strong": bool(self.strong),
-            "max_H_norm": float(self.max_H_norm),
-            "c2_tol": float(self.c2_tol),
-            "psi_zero_confirmed": self.psi_zero_confirmed,
-        }
 
 
 def _strong(sw: _Sweep, contraction: ContractionResult) -> StrongConditionsResult:
@@ -483,27 +435,15 @@ def check_strong_conditions(sys: SystemSpec, met: MetricSpec,
 # top-level report
 
 @dataclass
-class VerificationReport:
+class VerificationReport(Report):
     domain: dict
     scope: str
     metric_bounds: MetricBoundsResult
     contraction: ContractionResult
     condition1: Condition1Result
-    strong: StrongConditionsResult
-    lam: float
+    strong: StrongConditionsResult = field(metadata={"key": "strong_conditions"})
+    lam: float = field(metadata={"key": "lambda"})
     verdict: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "domain": self.domain,
-            "scope": self.scope,
-            "lambda": float(self.lam),
-            "metric_bounds": self.metric_bounds.to_dict(),
-            "contraction": self.contraction.to_dict(),
-            "condition1": self.condition1.to_dict(),
-            "strong_conditions": self.strong.to_dict(),
-            "verdict": bool(self.verdict),
-        }
 
 
 def verify(sys: SystemSpec, met: MetricSpec, grid: GridSpec,

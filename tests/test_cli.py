@@ -123,6 +123,14 @@ def test_bad_override_values(capsys):
     assert "--grid-density must be >= 1" in err
 
 
+def test_threads_flag_is_gone(capsys):
+    # verify checks the grid in one vectorized pass; there is no pool to size
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--spec", "double-integrator", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["validate", "verify", "simulate",
                                      "demo-counterexample"])
 @pytest.mark.parametrize("flag, value, message", [

@@ -18,7 +18,6 @@ from ccmkit.model import (
     SpecError,
     bundled_spec_path,
     check_metric_bounds,
-    load_spec,
     load_spec_file,
     plant_for,
 )
@@ -32,10 +31,10 @@ def test_bundled_specs_load():
         assert sf.name == name
         assert sf.system.n == sf.metric.n
         assert len(sf.grid.x_ranges) == sf.system.n
-    sys, met, grid = load_spec(bundled_spec_path("counterexample"))
-    assert (sys.n, sys.m) == (1, 1)
-    assert met.lam == 0.5
-    assert grid.x_ranges == [(-2.0, 2.0, 801)]
+    sf = load_spec_file(bundled_spec_path("counterexample"))
+    assert (sf.system.n, sf.system.m) == (1, 1)
+    assert sf.metric.lam == 0.5
+    assert sf.grid.x_ranges == [(-2.0, 2.0, 801)]
 
 
 def test_bundled_name_unknown():
@@ -294,9 +293,11 @@ def test_metric_bounds_one_stacked_scan(case):
                        t_samples=(0.0, 0.4, 1.3, 0.4))
     elif case == "warped":
         root = Path(__file__).parents[1]
-        sys, met, grid = load_spec(root / "perfbench/specs/warped_double_integrator.json")
+        sf = load_spec_file(root / "perfbench/specs/warped_double_integrator.json")
+        sys, met, grid = sf.system, sf.metric, sf.grid
     else:
-        sys, met, grid = load_spec(bundled_spec_path(case))
+        sf = load_spec_file(bundled_spec_path(case))
+        sys, met, grid = sf.system, sf.metric, sf.grid
     want = _bounds_per_t(met, grid, METRIC_BOUNDS_TOL)
     assert check_metric_bounds(met, grid).to_dict() == want
     assert verify(sys, met, grid).metric_bounds.to_dict() == want

@@ -20,10 +20,11 @@ import reference as ref
 from ccmkit.model import (
     NonFiniteEvalError,
     bundled_spec_path,
-    load_spec,
+    load_spec_file,
     plant_for,
 )
 from ccmkit.verifier import (
+    MAX_EXAMPLES,
     CertificateInvalid,
     _sweep,
     check_condition1,
@@ -40,8 +41,9 @@ RTOL = 1e-12
 
 
 def _bundled(name, lam=None):
-    sys, met, grid = load_spec(bundled_spec_path(name))
-    return sys, met if lam is None else replace(met, lam=lam), grid
+    sf = load_spec_file(bundled_spec_path(name))
+    met = sf.metric if lam is None else replace(sf.metric, lam=lam)
+    return sf.system, met, sf.grid
 
 
 def _curved():
@@ -258,7 +260,7 @@ def test_capped_lists_on_the_curved_grid():
     c = check_contraction(sys, met, grid)
     c1 = check_condition1(sys, met, grid)
     assert sum(not r["valid"] for r in rows) == c1.invalid_count == 5040
-    assert len(c.failures) == 16 and len(c1.invalid_examples) == 16
+    assert len(c.failures) == len(c1.invalid_examples) == MAX_EXAMPLES == 16
     assert {f["t"] for f in c.failures} == {0.0}
 
 

@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from ccmkit import transforms
 from ccmkit.differential import compute_H, compute_Q
 from ccmkit.model import bundled_spec_path, load_spec_file, plant_for
 from ccmkit.transforms import (
     DUAL_TOL,
+    FD_TOL,
     DualPoint,
     FeedbackTransform,
     apply_feedback_transform,
@@ -194,14 +196,6 @@ def test_feedback_transform_singular_beta_raises():
         tf.at(np.array([0.0]))
 
 
-def test_feedback_transform_identity():
-    tf = FeedbackTransform.identity(3, 2)
-    a, b, kappa, gamma = tf.at(np.array([1.0, 2.0, 3.0]), t=5.0)
-    assert np.array_equal(a, np.zeros(2))
-    assert np.array_equal(b, np.eye(2))
-    assert kappa == 1.0 and gamma == 1.0
-
-
 def test_feedback_transform_from_spec(tmp_path):
     base = json.loads(bundled_spec_path("counterexample").read_text())
     base["transform"] = {"alpha": ["-x1"], "beta": [["2"]]}
@@ -228,7 +222,8 @@ def test_apply_feedback_transform_symbolic():
 
 def test_apply_feedback_transform_shape_mismatch():
     sys, _met = scalar_counterexample()
-    tf = FeedbackTransform.identity(1, 2)
+    tf = FeedbackTransform(n=1, alpha=_exprs(["0", "0"]),
+                           beta=_matrix([["1", "0"], ["0", "1"]]))
     with pytest.raises(ValueError, match="transform is"):
         apply_feedback_transform(sys, tf)
 
@@ -274,6 +269,27 @@ def test_invariance_probe_two_input_mixing():
     assert res.gamma_min == pytest.approx((3.0 - math.sqrt(5.0)) / 2.0, rel=1e-12)
     assert res.min_slack >= -1e-8
     assert res.psibar_max <= res.kappa_max / res.gamma_min * 1e6
+
+
+def test_invariance_probe_slope_check_catches_a_wrong_transform(monkeypatch):
+    # the transformed system built with beta' in place of beta mixes the
+    # wrong columns of the shear, so its input slopes disagree with
+    # beta' (delta' H_i delta) and the cross-check must fail the probe
+    sys, met, grid = two_input_system()
+    tf = FeedbackTransform(n=2, alpha=_exprs(["0", "0"]),
+                           beta=_matrix([["1", "1"], ["0", "1"]]))
+    right = invariance_probe(sys, met, tf, grid)
+    assert right.passed and right.fd_checked == 8 and right.fd_max_err <= 1e-14
+
+    transposed = FeedbackTransform(n=2, alpha=tf.alpha,
+                                   beta=[list(col) for col in zip(*tf.beta)])
+    build = transforms.apply_feedback_transform
+    monkeypatch.setattr(transforms, "apply_feedback_transform",
+                        lambda s, _tf: build(s, transposed))
+    wrong = invariance_probe(sys, met, tf, grid)
+    assert wrong.fd_max_err > FD_TOL
+    assert not wrong.passed
+    assert wrong.min_slack == right.min_slack and wrong.margins_match
 
 
 def _exprs(texts):

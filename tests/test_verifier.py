@@ -15,7 +15,7 @@ import pytest
 
 import reference as ref
 from ccmkit.differential import compute_H, compute_Q
-from ccmkit.model import bundled_spec_path, load_spec, plant_for
+from ccmkit.model import bundled_spec_path, load_spec_file, plant_for
 from ccmkit.verifier import (
     C2_TOL,
     EPS_MARGIN,
@@ -35,6 +35,11 @@ from conftest import grid_of, metric_of, scalar_counterexample, system_of
 def _at_point(sys, met, x):
     """The stacked sweep on a grid of the single point x."""
     return _sweep(sys, met, grid_of([(v, v, 1) for v in x], [[0.0] * sys.m]))
+
+
+def _bundled(name):
+    sf = load_spec_file(bundled_spec_path(name))
+    return sf.system, sf.metric, sf.grid
 
 
 def test_kernel_basis_cases():
@@ -120,7 +125,7 @@ def test_psi_bounds_all_tangents():
     from conftest import two_input_system
     rng = np.random.default_rng(53)
     sys2, met2, _ = two_input_system()
-    sysb, metb, _ = load_spec(bundled_spec_path("bounded-gain"))
+    sysb, metb, _ = _bundled("bounded-gain")
     for sys, met in ((sys2, met2), (sysb, metb)):
         plant = plant_for(sys, met)
         for _ in range(40):
@@ -177,7 +182,7 @@ def test_ccm_point_margins():
 
 
 def test_ccm_point_double_integrator_closed_form():
-    sysd, metd, _grid = load_spec(bundled_spec_path("double-integrator"))
+    sysd, metd, _grid = _bundled("double-integrator")
     lam = metd.lam
     raw = plant_for(sysd, metd).raw(np.array([0.3, -1.2]), 0.0)
     # N ~ (sqrt(3), -1)/2, N'(A'M + MA)N = -1, N'MN = sqrt(3)/2
@@ -211,7 +216,7 @@ def test_margin_threshold_of_indefinite_metric():
 
 
 def test_contraction_sweep_counterexample():
-    sys, met, grid = load_spec(bundled_spec_path("counterexample"))
+    sys, met, grid = _bundled("counterexample")
     res = check_contraction(sys, met, grid)
     assert res.passed
     assert res.checked_points == 801
@@ -258,7 +263,7 @@ def test_power_law_fit():
 
 
 def test_condition1_sweeps():
-    sys, met, grid = load_spec(bundled_spec_path("counterexample"))
+    sys, met, grid = _bundled("counterexample")
     res = check_condition1(sys, met, grid)
     assert not res.passed and res.blow_up
     assert res.invalid_count == 2
@@ -266,7 +271,7 @@ def test_condition1_sweeps():
     assert res.power_law is not None
     assert res.power_law.exponent == pytest.approx(-3.0, abs=1e-6)
 
-    sysb, metb, gridb = load_spec(bundled_spec_path("bounded-gain"))
+    sysb, metb, gridb = _bundled("bounded-gain")
     res = check_condition1(sysb, metb, gridb)
     assert res.passed and not res.blow_up
     assert res.invalid_count == 0
@@ -277,13 +282,13 @@ def test_condition1_sweeps():
 
 
 def test_strong_conditions():
-    sysd, metd, gridd = load_spec(bundled_spec_path("double-integrator"))
+    sysd, metd, gridd = _bundled("double-integrator")
     res = check_strong_conditions(sysd, metd, gridd)
     assert res.strong and res.c1_passed and res.c2_passed
     assert res.max_H_norm == 0.0
     assert res.psi_zero_confirmed is True
 
-    sysb, metb, gridb = load_spec(bundled_spec_path("bounded-gain"))
+    sysb, metb, gridb = _bundled("bounded-gain")
     res = check_strong_conditions(sysb, metb, gridb)
     assert not res.c2_passed and not res.strong
     assert res.psi_zero_confirmed is None
@@ -304,7 +309,7 @@ def test_strong_conditions_c2_tolerance_boundary():
 
 
 def test_verify_verdicts_and_report_shape():
-    sys, met, grid = load_spec(bundled_spec_path("counterexample"))
+    sys, met, grid = _bundled("counterexample")
     rep = verify(sys, met, grid)
     assert not rep.verdict
     d = rep.to_dict()
@@ -316,12 +321,12 @@ def test_verify_verdicts_and_report_shape():
     assert d["domain"]["x"] == [[-2.0, 2.0, 801]]
 
     for name in ("double-integrator", "bounded-gain"):
-        s, m, g = load_spec(bundled_spec_path(name))
+        s, m, g = _bundled(name)
         assert verify(s, m, g).verdict
 
 
 def test_threads_do_not_change_results():
-    sys, met, grid = load_spec(bundled_spec_path("counterexample"))
+    sys, met, grid = _bundled("counterexample")
     one = verify(sys, met, grid, threads=1).to_dict()
     four = verify(sys, met, grid, threads=4).to_dict()
     assert one == four
