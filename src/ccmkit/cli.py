@@ -30,7 +30,6 @@ import numpy as np
 from . import __version__ as _version
 from .controller import ControllerConfig
 from .model import (
-    GridSpec,
     NonFiniteEvalError,
     SpecError,
     SpecFile,
@@ -108,11 +107,7 @@ def _apply_overrides(sf: SpecFile, args) -> SpecFile:
     if args.lam is not None:
         sf.metric.lam = args.lam
     if args.grid_density is not None:
-        sf.grid = GridSpec(
-            [(lo, hi, args.grid_density) for lo, hi, _ in sf.grid.x_ranges],
-            sf.grid.u_samples, sf.grid.t_samples,
-            sf.grid.delta_samples, sf.grid.seed,
-        )
+        sf.grid.x_ranges = [(lo, hi, args.grid_density) for lo, hi, _ in sf.grid.x_ranges]
     if args.seed is not None:
         sf.grid.seed = args.seed
     if args.horizon is not None and sf.scenario is not None:
@@ -242,12 +237,9 @@ def cmd_demo_counterexample(args) -> int:
     )
     sys_, met, grid = sf.system, sf.metric, sf.grid
     lam = met.lam
-    horizon = sf.scenario.horizon if sf.scenario is not None else 10.0
-    step = sf.scenario.step if sf.scenario is not None else 1e-3
-    if args.horizon is not None:
-        horizon = args.horizon
-    if args.step is not None:
-        step = args.step
+    sc = sf.scenario                # carries --horizon and --step already
+    horizon = sc.horizon if sc is not None else args.horizon or 10.0
+    step = sc.step if sc is not None else args.step or 1e-3
 
     report = verify(sys_, met, grid)
 

@@ -8,20 +8,20 @@ stored; the mirrored entries share the same expression object, so an
 evaluated M is symmetric bitwise, not just to rounding.
 
 Spec files are JSON with "schema": 1; the layout is documented in the
-README and validated field by field here (fail closed, named field in
-every error).  Report is the base every result dataclass serializes
-through.
+README.  Every table is read by one walker over its fixed shape, which
+fails closed and names the deepest field path in every error.  Report is
+the base every result dataclass serializes through.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import typing
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
+from sys import float_info
 
 import numpy as np
 
@@ -30,13 +30,7 @@ from .expr import Expression, compile_matrix, free_variables, jacobian, parse
 
 METRIC_BOUNDS_TOL = 1e-9   # absolute slack on the claimed [alpha1, alpha2]
 
-_BUNDLED = {
-    "counterexample": "counterexample.json",
-    "double-integrator": "double_integrator.json",
-    "double_integrator": "double_integrator.json",
-    "bounded-gain": "bounded_gain.json",
-    "bounded_gain": "bounded_gain.json",
-}
+_BUNDLED = ("counterexample", "double-integrator", "bounded-gain")
 
 
 class SpecError(Exception):
@@ -189,45 +183,57 @@ _TOP_KEYS = {
 }
 
 
-def _want(d: dict, key: str, where: str):
+def _object(d, where: str, allowed: set) -> dict:
+    if not isinstance(d, dict):
+        raise SpecError(f"{where}: expected an object")
+    unknown = set(d) - allowed
+    if unknown:
+        raise SpecError(f"{where}: unknown field(s) {sorted(unknown)}")
+    return d
+
+
+def _table(value, shape: tuple, where: str, leaf):
+    """Nested lists with one length per level of shape (None: one or
+    more), each entry read by leaf(entry, path); shape () reads value
+    itself.  Every error names the deepest path, such as B[1][0]."""
+    if not shape:
+        return leaf(value, where)
+    k = shape[0]
+    if not isinstance(value, list) or not value or k not in (None, len(value)):
+        want = "a non-empty list" if k is None else f"a list of length {k}"
+        raise SpecError(f"{where}: expected {want}")
+    return [_table(v, shape[1:], f"{where}[{i}]", leaf) for i, v in enumerate(value)]
+
+
+def _field(d: dict, path: str, leaf, shape: tuple = ()):
+    """The required field named by the last part of path, read by _table."""
+    key = path.rsplit(".", 1)[-1]
     if key not in d:
-        raise SpecError(f"{where}: missing required field {key!r}")
-    return d[key]
+        raise SpecError(f"{path}: missing required field {key!r}")
+    return _table(d[key], shape, path, leaf)
 
 
-def _int_field(v, where: str, minimum: int | None = None) -> int:
+def _integer(v, where: str, minimum: int = 1) -> int:
     if not isinstance(v, int) or isinstance(v, bool):
         raise SpecError(f"{where}: expected an integer, got {v!r}")
-    if minimum is not None and v < minimum:
+    if v < minimum:
         raise SpecError(f"{where}: must be >= {minimum}, got {v}")
     return v
 
 
-def _float_field(v, where: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SpecError(f"{where}: expected a number, got {v!r}")
-    if not math.isfinite(float(v)):
-        raise SpecError(f"{where}: must be finite, got {v!r}")
+def _number(v, where: str) -> float:
+    # compared, not converted: float() overflows on a long JSON integer
+    if isinstance(v, bool) or not isinstance(v, (int, float)) \
+            or not abs(v) <= float_info.max:
+        raise SpecError(f"{where}: expected a finite number, got {v!r}")
     return float(v)
 
 
-def _parse_entry(text, where: str, allowed: frozenset[str]) -> Expression:
-    if not isinstance(text, str):
-        raise SpecError(f"{where}: expected expression text, got {text!r}")
-    try:
-        e = parse(text)
-    except expr.ExprSyntaxError as err:
-        raise SpecError(f"{where}: {err}") from None
-    extra = free_variables(e) - allowed
-    if extra:
-        raise SpecError(f"{where}: variable(s) {sorted(extra)} not allowed here")
-    return e
-
-
-def _vector_field(v, length: int, where: str) -> np.ndarray:
-    if not isinstance(v, list) or len(v) != length:
-        raise SpecError(f"{where}: expected a list of {length} numbers")
-    return np.array([_float_field(e, f"{where}[{i}]") for i, e in enumerate(v)])
+def _positive(v, where: str) -> float:
+    x = _number(v, where)
+    if x <= 0:
+        raise SpecError(f"{where}: must be positive, got {x}")
+    return x
 
 
 def load_spec_file(path: str | Path) -> SpecFile:
@@ -238,58 +244,71 @@ def load_spec_file(path: str | Path) -> SpecFile:
         raise SpecError(f"spec file not found: {path}") from None
     except json.JSONDecodeError as err:
         raise SpecError(f"{path}: invalid JSON: {err}") from None
-    if not isinstance(doc, dict):
-        raise SpecError(f"{path}: top level must be an object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise SpecError(f"{path}: unknown field(s) {sorted(unknown)}")
-    if _want(doc, "schema", str(path)) != 1:
-        raise SpecError(f"{path}: unsupported schema {doc.get('schema')!r} (want 1)")
+    _object(doc, str(path), _TOP_KEYS)
+    if _field(doc, "schema", _integer) != 1:
+        raise SpecError(f"{path}: unsupported schema {doc['schema']} (want 1)")
+    for key in ("name", "description"):
+        if not isinstance(doc.get(key, ""), str):
+            raise SpecError(f"{key}: expected a string, got {doc[key]!r}")
 
-    n = _int_field(_want(doc, "n", "n"), "n", 1)
-    m = _int_field(_want(doc, "m", "m"), "m", 1)
-    xvars = frozenset([f"x{i + 1}" for i in range(n)] + ["t"])
+    n, m = _field(doc, "n", _integer), _field(doc, "m", _integer)
+    xvars = frozenset(_xvars(n) + ["t"])
 
-    f_rows = _want(doc, "f", "f")
-    if not isinstance(f_rows, list) or len(f_rows) != n:
-        raise SpecError(f"f: expected a list of {n} expressions")
-    f = [_parse_entry(s, f"f[{i}]", xvars) for i, s in enumerate(f_rows)]
+    def expression(text, where: str) -> Expression:
+        if not isinstance(text, str):
+            raise SpecError(f"{where}: expected expression text, got {text!r}")
+        try:
+            e = parse(text)
+        except expr.ExprSyntaxError as err:
+            raise SpecError(f"{where}: {err}") from None
+        extra = free_variables(e) - xvars
+        if extra:
+            raise SpecError(f"{where}: variable(s) {sorted(extra)} not allowed here")
+        return e
 
-    b_rows = _want(doc, "B", "B")
-    if not isinstance(b_rows, list) or len(b_rows) != n:
-        raise SpecError(f"B: expected {n} rows")
-    B: list[list[Expression]] = []
-    for i, row in enumerate(b_rows):
-        if not isinstance(row, list) or len(row) != m:
-            raise SpecError(f"B[{i}]: expected {m} entries (one per input)")
-        B.append([_parse_entry(s, f"B[{i}][{j}]", xvars) for j, s in enumerate(row)])
-
-    mu_rows = _want(doc, "M_upper", "M_upper")
-    if not isinstance(mu_rows, list) or len(mu_rows) != n:
-        raise SpecError(f"M_upper: expected {n} rows (upper triangle)")
+    f = _field(doc, "f", expression, (n,))
+    B = _field(doc, "B", expression, (n, m))
     M: list[list[Expression | None]] = [[None] * n for _ in range(n)]
-    for i, row in enumerate(mu_rows):
-        if not isinstance(row, list) or len(row) != n - i:
-            raise SpecError(f"M_upper[{i}]: expected {n - i} entries (columns {i}..{n - 1})")
-        for k, s in enumerate(row):
-            j = i + k
-            e = _parse_entry(s, f"M_upper[{i}][{k}]", xvars)
-            M[i][j] = e
-            M[j][i] = e  # same object: symmetry is structural
-
-    alpha1 = _float_field(_want(doc, "alpha1", "alpha1"), "alpha1")
-    alpha2 = _float_field(_want(doc, "alpha2", "alpha2"), "alpha2")
-    lam = _float_field(_want(doc, "lambda", "lambda"), "lambda")
-    if alpha1 <= 0:
-        raise SpecError(f"alpha1: must be positive, got {alpha1}")
+    for i, row in enumerate(_field(doc, "M_upper", lambda v, _: v, (n,))):
+        for k, e in enumerate(_table(row, (n - i,), f"M_upper[{i}]", expression)):
+            M[i][i + k] = M[i + k][i] = e   # same object: symmetry is structural
+    alpha1 = _field(doc, "alpha1", _positive)
+    alpha2 = _field(doc, "alpha2", _number)
     if alpha2 < alpha1:
         raise SpecError(f"alpha2: must be >= alpha1, got {alpha2} < {alpha1}")
-    if lam <= 0:
-        raise SpecError(f"lambda: must be positive, got {lam}")
+    lam = _field(doc, "lambda", _positive)
 
-    grid = _load_grid(_want(doc, "grid", "grid"), n, m)
-    scenario = _load_scenario(doc.get("scenario"), n, m)
-    transform = _load_transform(doc.get("transform"), n, m, xvars)
+    g = _object(_field(doc, "grid", lambda v, _: v), "grid",
+                {"x", "u", "t", "delta_samples", "seed"})
+    x_ranges = []
+    for i, (lo, hi, _) in enumerate(_field(g, "grid.x", _number, (n, 3))):
+        count = _integer(g["x"][i][2], f"grid.x[{i}][2]")
+        if hi < lo:
+            raise SpecError(f"grid.x[{i}]: hi < lo")
+        x_ranges.append((lo, hi, count))
+    grid = GridSpec(x_ranges, np.array(_field(g, "grid.u", _number, (None, m))),
+                    np.array(_field(g, "grid.t", _number, (None,))),
+                    _integer(g.get("delta_samples", 16), "grid.delta_samples"),
+                    _integer(g.get("seed", 42), "grid.seed", 0))
+
+    s = doc.get("scenario")
+    scenario = None
+    if s is not None:
+        vectors = {"x0": n, "x_star": n, "u_star": m}
+        optional = {"horizon": _positive, "step": _positive, "segments": _integer}
+        _object(s, "scenario", {*vectors, *optional})
+        scenario = Scenario(
+            **{k: np.array(_field(s, f"scenario.{k}", _number, (size,)))
+               for k, size in vectors.items()},
+            **{k: read(s[k], f"scenario.{k}") for k, read in optional.items() if k in s},
+        )
+
+    t = doc.get("transform")
+    transform = None
+    if t is not None:
+        _object(t, "transform", {"alpha", "beta"})
+        transform = {"alpha": _field(t, "transform.alpha", expression, (m,)),
+                     "beta": _field(t, "transform.beta", expression, (m, m))}
 
     return SpecFile(
         system=SystemSpec(n=n, m=m, f=f, B=B),
@@ -297,102 +316,17 @@ def load_spec_file(path: str | Path) -> SpecFile:
         grid=grid,
         scenario=scenario,
         transform=transform,
-        name=str(doc.get("name", path.stem)),
+        name=doc.get("name", path.stem),
     )
-
-
-def _load_grid(g, n: int, m: int) -> GridSpec:
-    if not isinstance(g, dict):
-        raise SpecError("grid: expected an object")
-    unknown = set(g) - {"x", "u", "t", "delta_samples", "seed"}
-    if unknown:
-        raise SpecError(f"grid: unknown field(s) {sorted(unknown)}")
-    gx = _want(g, "x", "grid.x")
-    if not isinstance(gx, list) or len(gx) != n:
-        raise SpecError(f"grid.x: expected {n} ranges [lo, hi, count]")
-    x_ranges = []
-    for i, r in enumerate(gx):
-        if not isinstance(r, list) or len(r) != 3:
-            raise SpecError(f"grid.x[{i}]: expected [lo, hi, count]")
-        lo = _float_field(r[0], f"grid.x[{i}][0]")
-        hi = _float_field(r[1], f"grid.x[{i}][1]")
-        count = _int_field(r[2], f"grid.x[{i}][2]", 1)
-        if hi < lo:
-            raise SpecError(f"grid.x[{i}]: hi < lo")
-        x_ranges.append((lo, hi, count))
-    gu = _want(g, "u", "grid.u")
-    if not isinstance(gu, list) or not gu:
-        raise SpecError("grid.u: expected a non-empty list of input samples")
-    u_samples = np.stack([_vector_field(row, m, f"grid.u[{i}]") for i, row in enumerate(gu)])
-    gt = _want(g, "t", "grid.t")
-    if not isinstance(gt, list) or not gt:
-        raise SpecError("grid.t: expected a non-empty list of times")
-    t_samples = np.array([_float_field(v, f"grid.t[{i}]") for i, v in enumerate(gt)])
-    delta_samples = _int_field(g.get("delta_samples", 16), "grid.delta_samples", 1)
-    seed = _int_field(g.get("seed", 42), "grid.seed", 0)
-    return GridSpec(x_ranges, u_samples, t_samples, delta_samples, seed)
-
-
-def _load_scenario(s, n: int, m: int) -> Scenario | None:
-    if s is None:
-        return None
-    if not isinstance(s, dict):
-        raise SpecError("scenario: expected an object")
-    unknown = set(s) - {"x0", "x_star", "u_star", "horizon", "step", "segments"}
-    if unknown:
-        raise SpecError(f"scenario: unknown field(s) {sorted(unknown)}")
-    sc = Scenario(
-        x0=_vector_field(_want(s, "x0", "scenario.x0"), n, "scenario.x0"),
-        x_star=_vector_field(_want(s, "x_star", "scenario.x_star"), n, "scenario.x_star"),
-        u_star=_vector_field(_want(s, "u_star", "scenario.u_star"), m, "scenario.u_star"),
-    )
-    if "horizon" in s:
-        sc.horizon = _float_field(s["horizon"], "scenario.horizon")
-        if sc.horizon <= 0:
-            raise SpecError("scenario.horizon: must be positive")
-    if "step" in s:
-        sc.step = _float_field(s["step"], "scenario.step")
-        if sc.step <= 0:
-            raise SpecError("scenario.step: must be positive")
-    if "segments" in s:
-        sc.segments = _int_field(s["segments"], "scenario.segments", 1)
-    return sc
-
-
-def _load_transform(t, n: int, m: int, xvars: frozenset[str]) -> dict | None:
-    if t is None:
-        return None
-    if not isinstance(t, dict):
-        raise SpecError("transform: expected an object")
-    unknown = set(t) - {"alpha", "beta"}
-    if unknown:
-        raise SpecError(f"transform: unknown field(s) {sorted(unknown)}")
-    ta = _want(t, "alpha", "transform.alpha")
-    if not isinstance(ta, list) or len(ta) != m:
-        raise SpecError(f"transform.alpha: expected {m} expressions")
-    alpha = [_parse_entry(s, f"transform.alpha[{i}]", xvars) for i, s in enumerate(ta)]
-    tb = _want(t, "beta", "transform.beta")
-    if not isinstance(tb, list) or len(tb) != m:
-        raise SpecError(f"transform.beta: expected {m} rows")
-    beta = []
-    for i, row in enumerate(tb):
-        if not isinstance(row, list) or len(row) != m:
-            raise SpecError(f"transform.beta[{i}]: expected {m} entries")
-        beta.append([_parse_entry(s, f"transform.beta[{i}][{j}]", xvars)
-                     for j, s in enumerate(row)])
-    return {"alpha": alpha, "beta": beta}
 
 
 def bundled_spec_path(name: str) -> Path:
     """Path of a spec shipped with the package: counterexample,
-    double-integrator or bounded-gain."""
-    try:
-        fname = _BUNDLED[name]
-    except KeyError:
-        raise SpecError(
-            f"no bundled spec {name!r}; choose from "
-            "counterexample, double-integrator, bounded-gain"
-        ) from None
+    double-integrator or bounded-gain (an underscore reads as a hyphen)."""
+    key = name.replace("_", "-")
+    if key not in _BUNDLED:
+        raise SpecError(f"no bundled spec {name!r}; choose from {', '.join(_BUNDLED)}")
+    fname = key.replace("-", "_") + ".json"
     return Path(str(resources.files("ccmkit").joinpath("specs", fname)))
 
 

@@ -183,7 +183,8 @@ def simulate_closed_loop(sys: SystemSpec, met: MetricSpec, cfg: ControllerConfig
     above TARGET_TOL * max(1, max |x_star|) raises ValueError.  The
     feedback is computed once per step and held.  Infeasible points and
     non-finite aborts stop the run; the report carries the time and the
-    returned trajectory holds the prefix that was completed.
+    returned trajectory holds the prefix that was completed, with u_star
+    as the input recorded at an infeasible sample.
     """
     x_fn = _as_callable(x_star, sys.n)
     u_fn = _as_callable(u_star, sys.m)
@@ -217,6 +218,7 @@ def simulate_closed_loop(sys: SystemSpec, met: MetricSpec, cfg: ControllerConfig
         except Infeasible as err:
             infeasible_time = t
             infeasible_msg = str(err)
+            inputs.append(np.asarray(u_fn(t), dtype=float))
             break
         inputs.append(u)
         x = _rk4_step(sys, x, t, h, u, u, u)
@@ -228,7 +230,7 @@ def simulate_closed_loop(sys: SystemSpec, met: MetricSpec, cfg: ControllerConfig
 
     done = len(states)
     if len(inputs) < done:
-        # final sample, or the point where the run stopped
+        # final sample of a completed run
         t_last = float(times[done - 1])
         try:
             u_last = tracking_feedback(states[-1], np.asarray(x_fn(t_last), dtype=float),
@@ -238,7 +240,7 @@ def simulate_closed_loop(sys: SystemSpec, met: MetricSpec, cfg: ControllerConfig
             u_last = np.asarray(u_fn(t_last), dtype=float)
         inputs.append(u_last)
     traj = Trajectory(times=times[:done], states=np.array(states),
-                      inputs=np.array(inputs[:done]))
+                      inputs=np.array(inputs))
     rep = convergence_metrics(traj, x_fn, met, cfg.lam)
     rep.infeasible_time = infeasible_time
     rep.infeasible_message = infeasible_msg

@@ -14,7 +14,10 @@ ftilde = f + B alpha, Btilde = B beta (computed symbolically here).
 For nonsingular beta the certificate transports with
 psibar = kappa psi / gamma, where kappa is the largest l1 row norm of
 beta and gamma the smallest eigenvalue of beta beta'; invariance_probe
-verifies the transported bound and margin coherence pointwise.
+verifies the transported bound and margin coherence pointwise.  The
+transport is checked for constant beta only: a state-dependent beta adds
+2 sum_j (delta' M b_j)(d beta_ji/dx . delta) to the transformed slope,
+which psibar leaves out, so the probe's slope cross-check fails it.
 """
 
 from __future__ import annotations
@@ -222,8 +225,10 @@ def invariance_probe(sys: SystemSpec, met: MetricSpec, tf: FeedbackTransform,
     up to SLACK_TOL, with psibar = kappa psi / gamma and dVdot/dv =
     (delta'H delta) beta.  At the first FD_POINTS points the transformed
     system's own input slope delta' Htilde_i delta cross-checks that
-    v-gradient, to FD_TOL.  The kernel margins of both systems must
-    agree pointwise to MARGIN_TOL (both vacuous counts as a match).
+    v-gradient, to FD_TOL; it agrees for constant beta only, so a
+    state-dependent beta fails the probe.  The kernel margins of both
+    systems must agree pointwise to MARGIN_TOL (both vacuous counts as a
+    match).
     """
     sw = _sweep(sys, met, grid)
     sw_t = _sweep(apply_feedback_transform(sys, tf), met, grid)

@@ -16,7 +16,8 @@ def _read_report(d):
 
 
 @pytest.mark.parametrize("name", ["counterexample", "double-integrator",
-                                  "bounded-gain"])
+                                  "bounded-gain", "double_integrator",
+                                  "bounded_gain"])
 def test_validate_bundled(name, capsys):
     assert main(["validate", "--spec", name]) == 0
     out = capsys.readouterr().out
@@ -223,6 +224,29 @@ def test_demo_flags_deviation_under_wrong_rate(tmp_path, capsys):
     assert code == 1
     assert "[DEVIATED] kernel contraction passes" in capsys.readouterr().out
     assert _read_report(d)["first_deviation"] == "kernel contraction passes"
+
+
+@pytest.mark.parametrize("scenario, flags, want", [
+    (True, [], (0.4, 0.02)),
+    (True, ["--horizon", "0.5", "--step", "0.01"], (0.5, 0.01)),
+    (False, ["--step", "0.01"], (10.0, 0.01)),
+    (False, ["--horizon", "0.5"], (0.5, 1e-3)),
+])
+def test_demo_open_loop_horizon_and_step(tmp_path, capsys, scenario, flags, want):
+    # the scenario carries the overridden horizon and step; without one
+    # the flags apply, else the defaults
+    doc = json.loads(bundled_spec_path("counterexample").read_text())
+    if scenario:
+        doc["scenario"].update(horizon=0.4, step=0.02)
+    else:
+        doc.pop("scenario")
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(doc))
+    d = tmp_path / "demo"
+    main(["demo-counterexample", "--spec", str(p), "--out", str(d), "--no-timestamp",
+          *flags])
+    open_loop = _read_report(d)["open_loop"]
+    assert (open_loop["horizon"], open_loop["step"]) == want
 
 
 def test_version_subprocess():

@@ -90,6 +90,22 @@ def test_minimal_spec_loads(tmp_path):
     (lambda d: d.update(transform={"alpha": ["0"]}), "transform"),
     (lambda d: d.update(transform={"alpha": ["0"], "beta": [["1", "0"]]}),
      "transform.beta"),
+    (lambda d: d.update(schema=True), "schema"),
+    (lambda d: d.update(schema=1.0), "schema"),
+    (lambda d: d.update(name={"a": 1}), "name"),
+    (lambda d: d.update(description=["x"]), "description"),
+    (lambda d: d.update(n=2, f=["-x1", "-x2"], B=[["1"], []]), "B[1]"),
+    (lambda d: d["grid"].update(u=[[0], []]), "grid.u[1]"),
+    (lambda d: d.update(scenario={"x0": [0, 0], "x_star": [1], "u_star": [0]}),
+     "scenario.x0"),
+    (lambda d: d.update(m=2, B=[["1", "0"]], grid={**d["grid"], "u": [[0, 0]]},
+                        transform={"alpha": ["0", "0"], "beta": [["1", 0], ["0", "1"]]}),
+     "transform.beta[0][1]"),
+    (lambda d: d["grid"].update(t=["0"]), "grid.t[0]"),
+    pytest.param(lambda d: d["grid"].update(x=[[-1, 1, 5.0]]), "grid.x[0][2]",
+                 id="float-count"),
+    pytest.param(lambda d: d.update(alpha2=10**400), "alpha2", id="long-integer"),
+    pytest.param(lambda d: d.update(alpha2=math.inf), "alpha2", id="infinity"),
 ])
 def test_schema_errors_name_the_field(tmp_path, mutate, fragment):
     doc = _minimal_doc()

@@ -166,6 +166,27 @@ def test_closed_loop_infeasible_prefix():
     assert np.array_equal(traj.states, [[0.0]])
 
 
+def test_closed_loop_infeasible_start_calls_the_feedback_once(monkeypatch):
+    # the failed feedback is not retried at the same state and time: the
+    # stopped sample records u*(t) directly
+    from ccmkit import simulator
+    calls, original = [], simulator.tracking_feedback
+
+    def counting(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(simulator, "tracking_feedback", counting)
+    sys, met = scalar_counterexample()
+    cfg = ControllerConfig(lam=0.5, path_segments=256)
+    traj, rep = simulate_closed_loop(sys, met, cfg, x_star=np.array([1.0]),
+                                     u_star=np.array([1.0]), x0=np.array([0.0]),
+                                     horizon=1.0, step=1e-2)
+    assert rep.infeasible_time == 0.0
+    assert calls == [0.0]
+    assert np.array_equal(traj.inputs, [[1.0]])
+
+
 def test_write_csv_round_trip(tmp_path):
     sys = system_of(["-x1 + x2", "-x2"], [["1"], ["0"]])
     traj = integrate(sys, [0.5], np.array([1.0, 2.0]), horizon=0.2, step=0.05)

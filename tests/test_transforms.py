@@ -292,6 +292,23 @@ def test_invariance_probe_slope_check_catches_a_wrong_transform(monkeypatch):
     assert wrong.min_slack == right.min_slack and wrong.margins_match
 
 
+@pytest.mark.parametrize("beta", ["2", "2 + 0.5*sin(x1)"])
+def test_invariance_probe_checks_constant_beta_only(beta):
+    # the transport psibar = kappa psi / gamma leaves out the slope term
+    # 2 sum_j (delta' M b_j)(d beta_ji/dx . delta) of a state-dependent
+    # beta; the transported bound and the margins do not notice, the
+    # slope check does
+    sf = load_spec_file(bundled_spec_path("bounded-gain"))
+    tf = FeedbackTransform(n=1, alpha=_exprs(["0"]), beta=_matrix([[beta]]))
+    res = invariance_probe(sf.system, sf.metric, tf, sf.grid)
+    assert res.min_slack > 0.0 and res.margins_match
+    if beta == "2":
+        assert res.passed and res.fd_max_err <= FD_TOL
+    else:
+        assert res.fd_max_err > 0.1
+        assert not res.passed
+
+
 def _exprs(texts):
     from ccmkit.expr import parse
     return [parse(s) for s in texts]
