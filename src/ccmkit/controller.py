@@ -13,8 +13,11 @@ b stays above B_FLOOR.  rho is deliberately discontinuous across a = 0
 The state-level control integrates delta_u along a discretized path
 from the target (x*, u*) to the current state: straight-line nodes,
 optionally relaxed toward a geodesic of M by descending the discrete
-path energy.  When the metric is constant the straight line already is
-the geodesic and refinement is skipped.
+path energy.  Each descent round scores its 30 backtracking halvings in
+one stacked metric call and keeps the first non-increasing one, as a
+sequential line search would.  When the metric is constant the straight
+line already is the geodesic, refinement is skipped and its energy is
+e' M e with e = x - x*.
 
 The path is scanned with per-segment terms that are affine in u: on a
 segment a(u) = a0 + sum_i u_i delta' H_i delta, and b and B' M delta do
@@ -35,6 +38,8 @@ from .differential import compute_ab, feedback_terms  # noqa: F401
 from .model import MetricSpec, RawEval, SystemSpec, plant_for
 
 B_FLOOR = 1e-12
+# backtracking factors of the descent's line search
+_HALVINGS = 0.5 ** np.arange(30)
 
 
 class Infeasible(Exception):
@@ -99,18 +104,26 @@ def differential_feedback(raw: RawEval, delta: np.ndarray, u: np.ndarray,
     return -rho(float(a0 + slope @ u), float(b)) * w
 
 
-def path_energy(nodes: np.ndarray, met: MetricSpec, t: float = 0.0) -> float:
+def path_energy(nodes: np.ndarray, met: MetricSpec,
+                t: float = 0.0) -> float | np.ndarray:
     """Discrete path energy sum_s dg_s' M(mid_s) dg_s / ds on the unit
-    parameter interval."""
+    parameter interval.
+
+    nodes is one path, shape (S + 1, n), and gives a float; paths
+    stacked over leading axes, shape (..., S + 1, n), give an array of
+    shape (...) holding bitwise the energy of each path alone.
+    """
     nodes = np.asarray(nodes, dtype=float)
-    segments = nodes.shape[0] - 1
+    segments = nodes.shape[-2] - 1
     if segments < 1:
-        return 0.0
-    diffs = nodes[1:] - nodes[:-1]
-    mids = 0.5 * (nodes[1:] + nodes[:-1])
-    (Mm,) = met.eval_M(mids, t)
-    terms = np.einsum("si,sij,sj->s", diffs, Mm, diffs)
-    return float(np.sum(terms) * segments)
+        energy = np.zeros(nodes.shape[:-2])
+    else:
+        diffs = nodes[..., 1:, :] - nodes[..., :-1, :]
+        mids = 0.5 * (nodes[..., 1:, :] + nodes[..., :-1, :])
+        (Mm,) = met.eval_M(mids, t)
+        terms = np.einsum("...si,...sij,...sj->...s", diffs, Mm, diffs)
+        energy = np.sum(terms, axis=-1) * segments
+    return float(energy) if nodes.ndim == 2 else energy
 
 
 def _energy_gradient(nodes: np.ndarray, met: MetricSpec, t: float) -> np.ndarray:
@@ -134,16 +147,22 @@ def build_path(x_star: np.ndarray, x: np.ndarray, met: MetricSpec,
 
     Starts from the straight line; for a state-dependent metric, runs up
     to geodesic_iterations rounds of monotone energy descent on the
-    interior nodes (each round keeps the previous nodes unless a strictly
-    non-increasing step is found).  Endpoints are never moved.
+    interior nodes.  Each round scores the steps (energy / |g|^2) 0.5^k g,
+    k = 0..29, in one stacked path_energy call and keeps the first whose
+    energy does not increase; the descent stops when none qualifies.
+    Endpoints are never moved.
     """
     a = np.asarray(x_star, dtype=float)
     b = np.asarray(x, dtype=float)
     nodes = np.linspace(a, b, cfg.path_segments + 1)
     if np.array_equal(a, b):
         return PathDiscretization(nodes=nodes, energy=0.0)
+    if met.constant:
+        e = b - a
+        (M,) = met.eval_M(a, t)
+        return PathDiscretization(nodes=nodes, energy=float(e @ M @ e))
     energy = path_energy(nodes, met, t)
-    if met.constant or cfg.geodesic_iterations <= 0 or cfg.path_segments < 2:
+    if cfg.geodesic_iterations <= 0 or cfg.path_segments < 2:
         return PathDiscretization(nodes=nodes, energy=energy)
 
     for _ in range(cfg.geodesic_iterations):
@@ -153,20 +172,15 @@ def build_path(x_star: np.ndarray, x: np.ndarray, met: MetricSpec,
         gnorm2 = float(np.sum(g * g))
         if gnorm2 == 0.0:
             break
-        step = energy / gnorm2
-        improved = False
-        for _try in range(30):
-            cand = nodes - step * g
-            cand[0] = nodes[0]
-            cand[-1] = nodes[-1]
-            e_cand = path_energy(cand, met, t)
-            if e_cand <= energy:
-                nodes, energy = cand, e_cand
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
+        steps = energy / gnorm2 * _HALVINGS    # exact halvings of the first step
+        cands = nodes - steps[:, None, None] * g
+        cands[:, 0] = nodes[0]
+        cands[:, -1] = nodes[-1]
+        energies = path_energy(cands, met, t)
+        (kept,) = np.nonzero(energies <= energy)
+        if kept.size == 0:
             break
+        nodes, energy = cands[kept[0]], float(energies[kept[0]])
     return PathDiscretization(nodes=nodes, energy=energy)
 
 
@@ -187,11 +201,16 @@ def tracking_feedback(x: np.ndarray, x_star: np.ndarray, u_star: np.ndarray,
     if not diffs.any():
         return u
     raws = plant_for(sys, met).raw_batch(nodes[:-1], t)
-    a0, slope, w, b = feedback_terms(raws, diffs, cfg.lam)
+    # the scan is scalar work, so it runs on Python floats
+    a0, slope, w, b = (v.tolist() for v in feedback_terms(raws, diffs, cfg.lam))
+    u = u.tolist()
     for j in np.flatnonzero(diffs.any(axis=1)).tolist():
+        slope_u = 0.0
+        for s_i, u_i in zip(slope[j], u):
+            slope_u += s_i * u_i
         try:
-            r = rho(float(a0[j] + slope[j] @ u), float(b[j]))
+            r = rho(a0[j] + slope_u, b[j])
         except Infeasible as err:
             raise Infeasible(err.a, err.b, x=nodes[j], node=j, time=t) from None
-        u = u - r * w[j]
-    return u
+        u = [u_i - r * w_i for u_i, w_i in zip(u, w[j])]
+    return np.array(u)

@@ -6,11 +6,12 @@ kernel, margin and certificate stages).  This module keeps the original
 one-point formulas, written independently of those kernels, so that the
 tests compare the package against a second implementation rather than
 against itself: tests/test_sweep.py point by point over whole grids, the
-segment-wise tracking reference in tests/test_controller.py, and the
-closed-form tests.
+segment-wise tracking reference and the sequential line search in
+tests/test_controller.py, and the closed-form tests.
 
-Only data types (RawEval, OrthogonalityResult, PowerLawFit) and the
-tolerance constants are taken from the package.
+Only data types (RawEval, OrthogonalityResult, PowerLawFit,
+PathDiscretization), the tolerance constants and the single-path energy
+and its gradient are taken from the package.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ccmkit.controller import PathDiscretization, _energy_gradient, path_energy
 from ccmkit.model import RawEval, plant_for
 from ccmkit.verifier import (
     EPS_ORTH,
@@ -98,6 +100,45 @@ def compute_ab(raw: RawEval, u: np.ndarray, delta: np.ndarray,
     BtMd = raw.B.T @ Md
     b = 4.0 * float(BtMd @ BtMd)
     return a, b
+
+
+# ---------------------------------------------------------------------------
+# path descent
+
+def build_path_sequential(x_star, x, met, cfg, t: float = 0.0) -> PathDiscretization:
+    """build_path with a sequential backtracking line search: each round
+    halves the step until one path's energy does not increase, one
+    path_energy call per trial, for at most 30 trials."""
+    a = np.asarray(x_star, dtype=float)
+    b = np.asarray(x, dtype=float)
+    nodes = np.linspace(a, b, cfg.path_segments + 1)
+    if np.array_equal(a, b):
+        return PathDiscretization(nodes=nodes, energy=0.0)
+    energy = path_energy(nodes, met, t)
+    if met.constant or cfg.geodesic_iterations <= 0 or cfg.path_segments < 2:
+        return PathDiscretization(nodes=nodes, energy=energy)
+    for _ in range(cfg.geodesic_iterations):
+        g = _energy_gradient(nodes, met, t)
+        g[0] = 0.0
+        g[-1] = 0.0
+        gnorm2 = float(np.sum(g * g))
+        if gnorm2 == 0.0:
+            break
+        step = energy / gnorm2
+        improved = False
+        for _try in range(30):
+            cand = nodes - step * g
+            cand[0] = nodes[0]
+            cand[-1] = nodes[-1]
+            e_cand = path_energy(cand, met, t)
+            if e_cand <= energy:
+                nodes, energy = cand, e_cand
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+    return PathDiscretization(nodes=nodes, energy=energy)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,14 @@ from ccmkit.controller import (
     rho,
     tracking_feedback,
 )
+import ccmkit.controller as controller
 import reference as ref
 from ccmkit.model import bundled_spec_path, load_spec_file, plant_for
-from conftest import curved_system, metric_of, scalar_counterexample
+from conftest import curved_system, metric_of, scalar_counterexample, \
+    two_input_system
+from test_sweep import CASES as SWEEP_CASES
+
+WARPED = Path(__file__).parents[1] / "perfbench" / "specs" / "warped_double_integrator.json"
 
 
 def test_rho_branches():
@@ -133,6 +138,89 @@ def test_build_path_refinement_descends():
     assert energies[2] < straight - 1e-4           # strictly better somewhere
 
 
+def test_path_energy_stacked_paths_match_single_calls():
+    _, met = curved_system()
+    rng = np.random.default_rng(17)
+    for segments in (1, 2, 9):
+        paths = rng.uniform(-2.0, 2.0, size=(5, segments + 1, 2))
+        single = [path_energy(p, met, 0.7) for p in paths]
+        assert all(type(e) is float for e in single)
+        stacked = path_energy(paths, met, 0.7)
+        assert stacked.shape == (5,)
+        assert stacked.tolist() == single
+        # any number of leading axes
+        assert path_energy(paths.reshape(1, 5, segments + 1, 2), met, 0.7) \
+            .tolist() == [single]
+    assert np.array_equal(path_energy(np.zeros((3, 1, 2)), met), np.zeros(3))
+
+
+def _counting_path_energy(monkeypatch):
+    calls = []
+
+    def counted(nodes, met, t=0.0):
+        calls.append(np.shape(nodes))
+        return path_energy(nodes, met, t)
+
+    monkeypatch.setattr(controller, "path_energy", counted)
+    return calls
+
+
+def test_build_path_scores_each_round_in_one_call(monkeypatch):
+    calls = _counting_path_energy(monkeypatch)
+    _, met = curved_system()
+    cfg = ControllerConfig(lam=0.3, path_segments=16)
+    build_path(np.array([-1.0, 0.0]), np.array([1.0, 1.0]), met, cfg, 0.4)
+    # the straight line, then one stacked call of 30 steps per round
+    assert calls[0] == (17, 2)
+    assert 2 <= len(calls) <= 1 + cfg.geodesic_iterations
+    assert set(calls[1:]) == {(30, 17, 2)}
+
+
+def test_constant_metric_makes_no_path_energy_call(monkeypatch):
+    calls = _counting_path_energy(monkeypatch)
+    sf = load_spec_file(bundled_spec_path("double-integrator"))
+    assert sf.metric.constant
+    cfg = ControllerConfig(lam=sf.metric.lam, path_segments=32)
+    x, x_star = np.array([1.0, -0.5]), np.array([0.2, 0.3])
+    path = build_path(x_star, x, sf.metric, cfg, 0.5)
+    tracking_feedback(x, x_star, np.zeros(1), sf.system, sf.metric, cfg, 0.5)
+    assert calls == []
+    # the energy is still the straight line's
+    assert path.energy == pytest.approx(path_energy(path.nodes, sf.metric, 0.5),
+                                        rel=1e-14)
+
+
+def test_build_path_matches_sequential_line_search():
+    warped = load_spec_file(WARPED)
+    _, met_c = curved_system()
+    rng = np.random.default_rng(29)
+    for met in (warped.metric, met_c):
+        assert not met.constant
+        for segments in (2, 8, 32):
+            cfg = ControllerConfig(lam=met.lam, path_segments=segments)
+            for _ in range(40):
+                x_star, x = rng.uniform(-2.0, 2.0, size=(2, met.n))
+                t = float(rng.uniform(0.0, 2.0))
+                want = ref.build_path_sequential(x_star, x, met, cfg, t)
+                got = build_path(x_star, x, met, cfg, t)
+                assert np.array_equal(got.nodes, want.nodes)
+                assert got.energy == want.energy
+                assert type(got.energy) is float
+
+
+def test_build_path_matches_sequential_line_search_three_states():
+    _, met, _ = SWEEP_CASES["three-state-two-input"]()
+    rng = np.random.default_rng(31)
+    cfg = ControllerConfig(lam=met.lam, path_segments=8)
+    for _ in range(40):
+        x_star, x = rng.uniform(-1.0, 1.0, size=(2, 3))
+        t = float(rng.uniform(0.0, 1.0))
+        want = ref.build_path_sequential(x_star, x, met, cfg, t)
+        got = build_path(x_star, x, met, cfg, t)
+        np.testing.assert_allclose(got.nodes, want.nodes, rtol=1e-12, atol=1e-12)
+        assert got.energy == pytest.approx(want.energy, rel=1e-12)
+
+
 def test_tracking_feedback_exact_at_target():
     sf = load_spec_file(bundled_spec_path("double-integrator"))
     cfg = ControllerConfig(lam=sf.metric.lam, path_segments=32)
@@ -190,11 +278,11 @@ def _segmentwise_feedback(x, x_star, u_star, sys, met, cfg, t):
 
 
 def test_tracking_feedback_matches_segmentwise_reference():
-    warped = Path(__file__).parents[1] / "perfbench" / "specs" / "warped_double_integrator.json"
     specs = [load_spec_file(bundled_spec_path(name))
              for name in ("double-integrator", "bounded-gain")]
-    specs.append(load_spec_file(warped))
+    specs.append(load_spec_file(WARPED))
     cases = [(sf.system, sf.metric) for sf in specs] + [curved_system()]
+    cases.append(two_input_system()[:2])    # m = 2 pins the sum over inputs
     rng = np.random.default_rng(83)
     for sys, met in cases:
         cfg = ControllerConfig(lam=met.lam, path_segments=16)
