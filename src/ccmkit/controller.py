@@ -11,13 +11,15 @@ b stays above B_FLOOR.  rho is deliberately discontinuous across a = 0
 (it jumps from 0 to 1); the decrease bound holds on both branches.
 
 The state-level control integrates delta_u along a discretized path
-from the target (x*, u*) to the current state: straight-line nodes,
-optionally relaxed toward a geodesic of M by descending the discrete
-path energy.  Each descent round scores its 30 backtracking halvings in
-one stacked metric call and keeps the first non-increasing one, as a
-sequential line search would.  When the metric is constant the straight
-line already is the geodesic, refinement is skipped and its energy is
-e' M e with e = x - x*.
+from the target (x*, u*) to the current state, a minimizing geodesic
+of M in the limit.  The path minimizes the discrete energy
+E = S sum_s d_s' M(m_s) d_s over its interior nodes (d_s the segment
+differences, m_s the midpoints) by Newton's method from the straight
+line: one metric call at the midpoints gives the exact gradient and
+the block-tridiagonal Hessian without its O(1/S) curvature term, one
+dense solve gives the step, and one stacked energy call scores its 30
+halvings.  A constant metric's straight line already is the geodesic:
+no refinement runs and its energy is e' M e with e = x - x*.
 
 The path is scanned with per-segment terms that are affine in u: on a
 segment a(u) = a0 + sum_i u_i delta' H_i delta, and b and B' M delta do
@@ -38,7 +40,10 @@ from .differential import compute_ab, feedback_terms  # noqa: F401
 from .model import MetricSpec, RawEval, SystemSpec, plant_for
 
 B_FLOOR = 1e-12
-# backtracking factors of the descent's line search
+# Newton on the discrete path energy stops once g' H^-1 g <= NEWTON_TOL * E
+NEWTON_TOL = 1e-13
+NEWTON_MAX_ITER = 20
+# backtracking fractions of the Newton step
 _HALVINGS = 0.5 ** np.arange(30)
 
 
@@ -71,13 +76,14 @@ class Infeasible(Exception):
 class ControllerConfig:
     lam: float
     path_segments: int = 32
-    geodesic_iterations: int = 20
 
 
 @dataclass
 class PathDiscretization:
-    nodes: np.ndarray    # (segments + 1, n); endpoints exact
-    energy: float        # sum over segments of dg' M(mid) dg / ds
+    nodes: np.ndarray      # (segments + 1, n); endpoints exact
+    energy: float          # sum over segments of dg' M(mid) dg / ds
+    iterations: int = 0    # Newton steps taken
+    residual: float = 0.0  # Newton decrement g' H^-1 g at the returned nodes
 
 
 def rho(a: float, b: float) -> float:
@@ -126,31 +132,49 @@ def path_energy(nodes: np.ndarray, met: MetricSpec,
     return float(energy) if nodes.ndim == 2 else energy
 
 
-def _energy_gradient(nodes: np.ndarray, met: MetricSpec, t: float) -> np.ndarray:
-    """Exact gradient of the discrete energy with respect to every node
-    (interior rows are what refinement uses)."""
-    segments = nodes.shape[0] - 1
+def _newton_system(nodes: np.ndarray, met: MetricSpec,
+                   t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of the discrete energy over the interior nodes, flattened
+    to ((S - 1) n,), and its block-tridiagonal Hessian as a dense matrix.
+
+    Per segment, with G = 2S M and C[i, k] = 2S (dM/dx_k d)_i, the blocks
+    are G - (C + C')/2 at the left node, G + (C + C')/2 at the right one
+    and -G - C/2 + C'/2 between them.  The d' d2M d term is dropped: it is
+    O(1/S) against 2S M.
+    """
+    segments, n = nodes.shape[0] - 1, nodes.shape[1]
     diffs = nodes[1:] - nodes[:-1]
     mids = 0.5 * (nodes[1:] + nodes[:-1])
     Mm, dMm, _ = met.eval_raw(mids, t)
-    base = 2.0 * segments * np.einsum("sij,sj->si", Mm, diffs)
-    quad = 0.5 * segments * np.einsum("si,saij,sj->sa", diffs, dMm, diffs)
-    g = np.zeros_like(nodes)
-    g[:-1] += quad - base
-    g[1:] += quad + base
-    return g
+    G = 2.0 * segments * Mm
+    C = 2.0 * segments * np.einsum("skij,sj->sik", dMm, diffs)
+    base = np.einsum("sij,sj->si", G, diffs)
+    quad = 0.25 * np.einsum("si,sik->sk", diffs, C)
+    g = (quad[:-1] + base[:-1]) + (quad[1:] - base[1:])
+    Ct = C.transpose(0, 2, 1)
+    sym = 0.5 * (C + Ct)
+    inner = segments - 1
+    H = np.zeros((inner, n, inner, n))
+    k = np.arange(inner)
+    H[k, :, k, :] = (G[:-1] + sym[:-1]) + (G[1:] - sym[1:])
+    upper = 0.5 * (Ct - C)[1:-1] - G[1:-1]
+    H[k[:-1], :, k[1:], :] = upper
+    H[k[1:], :, k[:-1], :] = upper.transpose(0, 2, 1)
+    return g.reshape(-1), H.reshape(inner * n, inner * n)
 
 
 def build_path(x_star: np.ndarray, x: np.ndarray, met: MetricSpec,
                cfg: ControllerConfig, t: float = 0.0) -> PathDiscretization:
     """Discretized path from x_star to x with path_segments segments.
 
-    Starts from the straight line; for a state-dependent metric, runs up
-    to geodesic_iterations rounds of monotone energy descent on the
-    interior nodes.  Each round scores the steps (energy / |g|^2) 0.5^k g,
-    k = 0..29, in one stacked path_energy call and keeps the first whose
-    energy does not increase; the descent stops when none qualifies.
-    Endpoints are never moved.
+    Starts from the straight line; for a state-dependent metric, takes
+    Newton steps on the interior nodes of the discrete energy (one
+    eval_raw call and one dense solve each) until the Newton decrement
+    g' H^-1 g is at most NEWTON_TOL times the energy, for at most
+    NEWTON_MAX_ITER steps.  Each step scores the fractions 0.5^k,
+    k = 0..29, of the Newton step in one stacked path_energy call and
+    keeps the first whose energy is positive and not above the current
+    one; Newton stops when none qualifies.  Endpoints are never moved.
     """
     a = np.asarray(x_star, dtype=float)
     b = np.asarray(x, dtype=float)
@@ -162,26 +186,28 @@ def build_path(x_star: np.ndarray, x: np.ndarray, met: MetricSpec,
         (M,) = met.eval_M(a, t)
         return PathDiscretization(nodes=nodes, energy=float(e @ M @ e))
     energy = path_energy(nodes, met, t)
-    if cfg.geodesic_iterations <= 0 or cfg.path_segments < 2:
+    if cfg.path_segments < 2:
         return PathDiscretization(nodes=nodes, energy=energy)
 
-    for _ in range(cfg.geodesic_iterations):
-        g = _energy_gradient(nodes, met, t)
-        g[0] = 0.0
-        g[-1] = 0.0
-        gnorm2 = float(np.sum(g * g))
-        if gnorm2 == 0.0:
+    iterations = 0
+    while True:
+        g, H = _newton_system(nodes, met, t)
+        step = np.linalg.solve(H, g)
+        residual = float(g @ step)
+        if residual <= NEWTON_TOL * energy or iterations == NEWTON_MAX_ITER:
             break
-        steps = energy / gnorm2 * _HALVINGS    # exact halvings of the first step
-        cands = nodes - steps[:, None, None] * g
-        cands[:, 0] = nodes[0]
-        cands[:, -1] = nodes[-1]
+        cands = np.repeat(nodes[None], _HALVINGS.size, axis=0)
+        cands[:, 1:-1] -= _HALVINGS[:, None, None] * step.reshape(-1, nodes.shape[1])
         energies = path_energy(cands, met, t)
-        (kept,) = np.nonzero(energies <= energy)
+        # a step out of the region where M is positive definite can
+        # reach an energy at or below zero
+        (kept,) = np.nonzero((energies > 0.0) & (energies <= energy))
         if kept.size == 0:
             break
         nodes, energy = cands[kept[0]], float(energies[kept[0]])
-    return PathDiscretization(nodes=nodes, energy=energy)
+        iterations += 1
+    return PathDiscretization(nodes=nodes, energy=energy,
+                              iterations=iterations, residual=residual)
 
 
 def tracking_feedback(x: np.ndarray, x_star: np.ndarray, u_star: np.ndarray,

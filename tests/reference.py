@@ -6,12 +6,14 @@ kernel, margin and certificate stages).  This module keeps the original
 one-point formulas, written independently of those kernels, so that the
 tests compare the package against a second implementation rather than
 against itself: tests/test_sweep.py point by point over whole grids, the
-segment-wise tracking reference and the sequential line search in
-tests/test_controller.py, and the closed-form tests.
+segment-wise tracking reference, the energy gradient, the steepest
+descent that the Newton geodesic must not lose to and the warped spec's
+closed-form geodesic in tests/test_controller.py, and the closed-form
+tests.
 
 Only data types (RawEval, OrthogonalityResult, PowerLawFit,
 PathDiscretization), the tolerance constants and the single-path energy
-and its gradient are taken from the package.
+are taken from the package.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ccmkit.controller import PathDiscretization, _energy_gradient, path_energy
+from ccmkit.controller import PathDiscretization, path_energy
 from ccmkit.model import RawEval, plant_for
 from ccmkit.verifier import (
     EPS_ORTH,
@@ -103,22 +105,38 @@ def compute_ab(raw: RawEval, u: np.ndarray, delta: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# path descent
+# paths and geodesics
+
+def energy_gradient(nodes: np.ndarray, met, t: float) -> np.ndarray:
+    """Exact gradient of the discrete path energy with respect to every node."""
+    segments = nodes.shape[0] - 1
+    diffs = nodes[1:] - nodes[:-1]
+    mids = 0.5 * (nodes[1:] + nodes[:-1])
+    Mm, dMm, _ = met.eval_raw(mids, t)
+    base = 2.0 * segments * np.einsum("sij,sj->si", Mm, diffs)
+    quad = 0.5 * segments * np.einsum("si,saij,sj->sa", diffs, dMm, diffs)
+    g = np.zeros_like(nodes)
+    g[:-1] += quad - base
+    g[1:] += quad + base
+    return g
+
 
 def build_path_sequential(x_star, x, met, cfg, t: float = 0.0) -> PathDiscretization:
-    """build_path with a sequential backtracking line search: each round
-    halves the step until one path's energy does not increase, one
-    path_energy call per trial, for at most 30 trials."""
+    """Steepest descent on the discrete energy with a sequential
+    backtracking line search, the geodesic that build_path replaced:
+    each of at most 20 rounds halves the step energy / |g|^2 until one
+    path's energy does not increase, one path_energy call per trial, for
+    at most 30 trials."""
     a = np.asarray(x_star, dtype=float)
     b = np.asarray(x, dtype=float)
     nodes = np.linspace(a, b, cfg.path_segments + 1)
     if np.array_equal(a, b):
         return PathDiscretization(nodes=nodes, energy=0.0)
     energy = path_energy(nodes, met, t)
-    if met.constant or cfg.geodesic_iterations <= 0 or cfg.path_segments < 2:
+    if met.constant or cfg.path_segments < 2:
         return PathDiscretization(nodes=nodes, energy=energy)
-    for _ in range(cfg.geodesic_iterations):
-        g = _energy_gradient(nodes, met, t)
+    for _ in range(20):
+        g = energy_gradient(nodes, met, t)
         g[0] = 0.0
         g[-1] = 0.0
         gnorm2 = float(np.sum(g * g))
@@ -139,6 +157,28 @@ def build_path_sequential(x_star, x, met, cfg, t: float = 0.0) -> PathDiscretiza
         if not improved:
             break
     return PathDiscretization(nodes=nodes, energy=energy)
+
+
+def warped_geodesic(x_star, x, segments: int) -> tuple[np.ndarray, float]:
+    """Closed-form geodesic of the warped double integrator's metric.
+
+    There M = J'PJ with J = dz/dx for z = phi(x) = (x1 + 0.3 sin x2, x2)
+    and the constant Riccati P, so the geodesic from x_star to x is the
+    straight line from phi(x_star) to phi(x) pulled back through
+    phi^-1(z) = (z1 - 0.3 sin z2, z2).  Returns its nodes at the given
+    number of equal parameter steps, shape (segments + 1, 2), and its
+    continuous energy (z - z*)' P (z - z*).
+    """
+    def phi(v):
+        v = np.asarray(v, dtype=float)
+        return np.array([v[0] + 0.3 * math.sin(v[1]), v[1]])
+
+    P = np.array([[math.sqrt(3.0), 1.0], [1.0, math.sqrt(3.0)]])
+    z_star, z = phi(x_star), phi(x)
+    zs = np.linspace(z_star, z, segments + 1)
+    nodes = np.stack([zs[:, 0] - 0.3 * np.sin(zs[:, 1]), zs[:, 1]], axis=1)
+    e = z - z_star
+    return nodes, float(e @ P @ e)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
-"""Feedback gain, path energy descent and the tracking control."""
+"""Feedback gain, the Newton geodesic on the path energy and the
+tracking control."""
 
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,8 @@ import pytest
 
 from ccmkit.controller import (
     B_FLOOR,
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     ControllerConfig,
     Infeasible,
     build_path,
@@ -124,18 +128,107 @@ def test_build_path_refinement_descends():
     _, met = curved_system()
     a = np.array([-1.0, 0.0])
     b = np.array([1.0, 1.0])
+    cfg = ControllerConfig(lam=0.3, path_segments=16)
     straight = path_energy(np.linspace(a, b, 17), met)
-    energies = []
-    for iters in (0, 3, 20):
-        cfg = ControllerConfig(lam=0.3, path_segments=16,
-                               geodesic_iterations=iters)
-        path = build_path(a, b, met, cfg)
-        energies.append(path.energy)
-        assert np.array_equal(path.nodes[0], a)    # endpoints never move
-        assert np.array_equal(path.nodes[-1], b)
-    assert energies[0] == pytest.approx(straight, rel=1e-12)
-    assert energies[2] <= energies[1] <= energies[0]
-    assert energies[2] < straight - 1e-4           # strictly better somewhere
+    path = build_path(a, b, met, cfg)
+    assert np.array_equal(path.nodes[0], a)    # endpoints never move
+    assert np.array_equal(path.nodes[-1], b)
+    assert 1 <= path.iterations <= NEWTON_MAX_ITER
+    assert path.residual <= NEWTON_TOL * path.energy
+    # below the steepest descent that Newton replaced
+    descent = ref.build_path_sequential(a, b, met, cfg).energy
+    assert path.energy <= descent <= straight
+    assert path.energy < straight - 1e-4           # strictly better somewhere
+
+
+def _affine_metric():
+    # dM/dx is constant, so the dropped d' d2M d term is zero and the
+    # assembled Hessian is the exact one
+    return metric_of([["2 + 0.3*x1 + 0.1*t", "0.2*x2 - 0.1*x1"],
+                      ["2 - 0.1*x1 + 0.2*x2"]], 1.0, 3.0, 0.5)
+
+
+def test_newton_system_gradient_and_hessian():
+    rng = np.random.default_rng(41)
+    _, met_c = curved_system()
+    for met in (met_c, _affine_metric()):
+        for segments in (2, 3, 9):
+            nodes = rng.uniform(-1.0, 1.0, size=(segments + 1, 2))
+            g, H = controller._newton_system(nodes, met, 0.6)
+            want = ref.energy_gradient(nodes, met, 0.6)[1:-1].reshape(-1)
+            np.testing.assert_allclose(g, want, rtol=0.0,
+                                       atol=1e-12 * np.max(np.abs(want)))
+            assert np.array_equal(H, H.T)
+    # central differences of the reference gradient give the exact Hessian
+    met = _affine_metric()
+    h = 1e-6
+    for segments in (2, 3, 9):
+        nodes = rng.uniform(-1.0, 1.0, size=(segments + 1, 2))
+        _, H = controller._newton_system(nodes, met, 0.6)
+        fd = np.empty_like(H)
+        for col in range(H.shape[1]):
+            step = np.zeros((segments - 1) * 2)
+            step[col] = h
+            up, down = nodes.copy(), nodes.copy()
+            up[1:-1] += step.reshape(-1, 2)
+            down[1:-1] -= step.reshape(-1, 2)
+            diff = ref.energy_gradient(up, met, 0.6) - ref.energy_gradient(down, met, 0.6)
+            fd[:, col] = diff[1:-1].reshape(-1) / (2.0 * h)
+        np.testing.assert_allclose(H, fd, rtol=0.0, atol=1e-6 * np.max(np.abs(H)))
+
+
+def test_build_path_matches_closed_form_geodesic():
+    met = load_spec_file(WARPED).metric
+
+    def gaps(x_star, x, segments):
+        cfg = ControllerConfig(lam=met.lam, path_segments=segments)
+        got = build_path(x_star, x, met, cfg, 0.3)
+        nodes, _ = ref.warped_geodesic(x_star, x, segments)
+        assert got.iterations >= 1
+        assert got.residual <= NEWTON_TOL * got.energy
+        return (got.energy - path_energy(nodes, met, 0.3),
+                float(np.max(np.abs(got.nodes - nodes))))
+
+    # the scenario's start: the discrete minimizer and the pulled-back
+    # line agree to the solver's precision
+    x_star, x = np.zeros(2), np.array([1.0, 0.5])
+    for segments in (32, 128):
+        energy_gap, node_gap = gaps(x_star, x, segments)
+        assert abs(energy_gap) <= 1e-10 and node_gap <= 1e-6
+    # farther apart they differ at second order in 1/S, with the Newton
+    # path never above the pulled-back line
+    for x_star, x in ((np.array([-1.0, 0.3]), np.array([1.5, -1.2])),
+                      (np.array([0.2, -0.1]), np.array([-0.7, 1.1]))):
+        (e32, n32), (e128, n128) = gaps(x_star, x, 32), gaps(x_star, x, 128)
+        assert e32 <= 1e-12 and e128 <= 1e-12
+        assert n128 < n32 / 10.0
+    # the oracle itself: its discrete energy tends to its continuous one
+    x_star, x = np.zeros(2), np.array([1.0, 0.5])
+    _, continuous = ref.warped_geodesic(x_star, x, 2)
+    excess = [path_energy(ref.warped_geodesic(x_star, x, s)[0], met) - continuous
+              for s in (32, 128)]
+    assert 0.0 < excess[1] < excess[0] / 10.0 < 1e-6
+
+
+@pytest.mark.parametrize("segments", [2, 4, 8, 16, 32])
+def test_build_path_energy_positive_and_below_straight_line(segments):
+    # curved_system's M is indefinite for |x2| above about 7.5, so a step
+    # that leaves the box can reach a non-positive energy
+    _, met_c = curved_system()
+    _, met_3, _ = SWEEP_CASES["three-state-two-input"]()
+    rng = np.random.default_rng(53)
+    cases = [(met, *rng.uniform(-box, box, size=(2, met.n)),
+              float(rng.uniform(0.0, 2.0)))
+             for met, box in ((met_c, 2.0), (met_3, 1.0)) for _ in range(50)]
+    # straight lines across that band, where full Newton steps do reach
+    # negative energies
+    cases += [(met_c, np.array(a), np.array(b), t) for a, b, t in
+              (((-1.2, -5.5), (-1.6, 11.4), 0.6), ((0.3, -11.8), (-1.1, 0.9), 1.6))]
+    for met, x_star, x, t in cases:
+        cfg = ControllerConfig(lam=met.lam, path_segments=segments)
+        straight = path_energy(np.linspace(x_star, x, segments + 1), met, t)
+        path = build_path(x_star, x, met, cfg, t)
+        assert 0.0 < path.energy <= straight
 
 
 def test_path_energy_stacked_paths_match_single_calls():
@@ -168,12 +261,18 @@ def _counting_path_energy(monkeypatch):
 def test_build_path_scores_each_round_in_one_call(monkeypatch):
     calls = _counting_path_energy(monkeypatch)
     _, met = curved_system()
+    systems = []
+    eval_raw = met.eval_raw
+    monkeypatch.setitem(vars(met), "eval_raw",
+                        lambda X, T: systems.append(np.shape(X)) or eval_raw(X, T))
     cfg = ControllerConfig(lam=0.3, path_segments=16)
-    build_path(np.array([-1.0, 0.0]), np.array([1.0, 1.0]), met, cfg, 0.4)
-    # the straight line, then one stacked call of 30 steps per round
+    path = build_path(np.array([-1.0, 0.0]), np.array([1.0, 1.0]), met, cfg, 0.4)
+    # the straight line, then one stacked call of 30 steps per Newton step
     assert calls[0] == (17, 2)
-    assert 2 <= len(calls) <= 1 + cfg.geodesic_iterations
+    assert len(calls) == 1 + path.iterations
     assert set(calls[1:]) == {(30, 17, 2)}
+    # one metric call at the midpoints per Newton system
+    assert systems == [(16, 2)] * (1 + path.iterations)
 
 
 def test_constant_metric_makes_no_path_energy_call(monkeypatch):
@@ -190,35 +289,30 @@ def test_constant_metric_makes_no_path_energy_call(monkeypatch):
                                         rel=1e-14)
 
 
-def test_build_path_matches_sequential_line_search():
-    warped = load_spec_file(WARPED)
-    _, met_c = curved_system()
+def _dominates_sequential_descent(met, box, rng):
+    for segments in (2, 8, 32, 128):
+        cfg = ControllerConfig(lam=met.lam, path_segments=segments)
+        for _ in range(8):
+            x_star, x = rng.uniform(-box, box, size=(2, met.n))
+            t = float(rng.uniform(0.0, 2.0))
+            want = ref.build_path_sequential(x_star, x, met, cfg, t)
+            got = build_path(x_star, x, met, cfg, t)
+            assert type(got.energy) is float
+            # the descent can leave the metric's domain (energy <= 0)
+            if want.energy > 0.0:
+                assert got.energy <= want.energy * (1.0 + 1e-12)
+
+
+def test_build_path_dominates_sequential_line_search():
     rng = np.random.default_rng(29)
-    for met in (warped.metric, met_c):
+    for met in (load_spec_file(WARPED).metric, curved_system()[1]):
         assert not met.constant
-        for segments in (2, 8, 32):
-            cfg = ControllerConfig(lam=met.lam, path_segments=segments)
-            for _ in range(40):
-                x_star, x = rng.uniform(-2.0, 2.0, size=(2, met.n))
-                t = float(rng.uniform(0.0, 2.0))
-                want = ref.build_path_sequential(x_star, x, met, cfg, t)
-                got = build_path(x_star, x, met, cfg, t)
-                assert np.array_equal(got.nodes, want.nodes)
-                assert got.energy == want.energy
-                assert type(got.energy) is float
+        _dominates_sequential_descent(met, 2.0, rng)
 
 
-def test_build_path_matches_sequential_line_search_three_states():
+def test_build_path_dominates_sequential_line_search_three_states():
     _, met, _ = SWEEP_CASES["three-state-two-input"]()
-    rng = np.random.default_rng(31)
-    cfg = ControllerConfig(lam=met.lam, path_segments=8)
-    for _ in range(40):
-        x_star, x = rng.uniform(-1.0, 1.0, size=(2, 3))
-        t = float(rng.uniform(0.0, 1.0))
-        want = ref.build_path_sequential(x_star, x, met, cfg, t)
-        got = build_path(x_star, x, met, cfg, t)
-        np.testing.assert_allclose(got.nodes, want.nodes, rtol=1e-12, atol=1e-12)
-        assert got.energy == pytest.approx(want.energy, rel=1e-12)
+    _dominates_sequential_descent(met, 1.0, np.random.default_rng(31))
 
 
 def test_tracking_feedback_exact_at_target():
@@ -314,4 +408,4 @@ def test_tracking_feedback_infeasible_like_segmentwise_reference():
 def test_controller_config_defaults():
     cfg = ControllerConfig(lam=0.4)
     assert cfg.path_segments == 32
-    assert cfg.geodesic_iterations == 20
+    assert [f.name for f in fields(cfg)] == ["lam", "path_segments"]
