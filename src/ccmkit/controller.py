@@ -15,16 +15,22 @@ from the target (x*, u*) to the current state, a minimizing geodesic
 of M in the limit.  The path minimizes the discrete energy
 E = S sum_s d_s' M(m_s) d_s over its interior nodes (d_s the segment
 differences, m_s the midpoints) by Newton's method from the straight
-line: one metric call at the midpoints gives the exact gradient and
-the block-tridiagonal Hessian without its O(1/S) curvature term, one
-dense solve gives the step, and one stacked energy call scores its 30
+line.  Each Newton iterate costs one metric call at its midpoints and
+one dense solve: that call gives the iterate's energy, which decides
+whether the step to it is kept, and, once kept, the exact gradient and
+the block-tridiagonal Hessian without its O(1/S) curvature term.  Only
+a rejected full step makes one stacked energy call over its 29
 halvings.  A constant metric's straight line already is the geodesic:
 no refinement runs and its energy is e' M e with e = x - x*.
 
 The path is scanned with per-segment terms that are affine in u: on a
 segment a(u) = a0 + sum_i u_i delta' H_i delta, and b and B' M delta do
-not depend on u, so one stacked pass serves every segment and the
-accumulation from node to node is scalar work.
+not depend on u, so one stacked pass serves every segment.  The scan is
+vectorized up to the first gain that feeds back: segments with a < 0 at
+u* change nothing, and when no segment after the first active one has
+a nonzero slope (H = 0 there), every gain is known at u* and u is u*
+minus an ordered cumulative sum of the corrections.  Otherwise the
+accumulation from that segment on is scalar work, node by node.
 """
 
 from __future__ import annotations
@@ -110,6 +116,12 @@ def differential_feedback(raw: RawEval, delta: np.ndarray, u: np.ndarray,
     return -rho(float(a0 + slope @ u), float(b)) * w
 
 
+def _energy(diffs: np.ndarray, Mm: np.ndarray) -> np.ndarray:
+    """sum_s d_s' M_s d_s / ds over the segment axis of stacked paths."""
+    terms = np.einsum("...si,...sij,...sj->...s", diffs, Mm, diffs)
+    return np.sum(terms, axis=-1) * diffs.shape[-2]
+
+
 def path_energy(nodes: np.ndarray, met: MetricSpec,
                 t: float = 0.0) -> float | np.ndarray:
     """Discrete path energy sum_s dg_s' M(mid_s) dg_s / ds on the unit
@@ -120,20 +132,26 @@ def path_energy(nodes: np.ndarray, met: MetricSpec,
     shape (...) holding bitwise the energy of each path alone.
     """
     nodes = np.asarray(nodes, dtype=float)
-    segments = nodes.shape[-2] - 1
-    if segments < 1:
+    if nodes.shape[-2] < 2:
         energy = np.zeros(nodes.shape[:-2])
     else:
-        diffs = nodes[..., 1:, :] - nodes[..., :-1, :]
         mids = 0.5 * (nodes[..., 1:, :] + nodes[..., :-1, :])
         (Mm,) = met.eval_M(mids, t)
-        terms = np.einsum("...si,...sij,...sj->...s", diffs, Mm, diffs)
-        energy = np.sum(terms, axis=-1) * segments
+        energy = _energy(nodes[..., 1:, :] - nodes[..., :-1, :], Mm)
     return float(energy) if nodes.ndim == 2 else energy
 
 
-def _newton_system(nodes: np.ndarray, met: MetricSpec,
-                   t: float) -> tuple[np.ndarray, np.ndarray]:
+def _midpoint_eval(nodes: np.ndarray, met: MetricSpec, t: float):
+    """One eval_raw call at the midpoints of one path: its energy,
+    bitwise path_energy's, and the (diffs, M, dM/dx) that _assemble
+    turns into the Newton system."""
+    diffs = nodes[1:] - nodes[:-1]
+    Mm, dMm, _ = met.eval_raw(0.5 * (nodes[1:] + nodes[:-1]), t)
+    return float(_energy(diffs, Mm)), (diffs, Mm, dMm)
+
+
+def _assemble(diffs: np.ndarray, Mm: np.ndarray,
+              dMm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of the discrete energy over the interior nodes, flattened
     to ((S - 1) n,), and its block-tridiagonal Hessian as a dense matrix.
 
@@ -142,10 +160,7 @@ def _newton_system(nodes: np.ndarray, met: MetricSpec,
     and -G - C/2 + C'/2 between them.  The d' d2M d term is dropped: it is
     O(1/S) against 2S M.
     """
-    segments, n = nodes.shape[0] - 1, nodes.shape[1]
-    diffs = nodes[1:] - nodes[:-1]
-    mids = 0.5 * (nodes[1:] + nodes[:-1])
-    Mm, dMm, _ = met.eval_raw(mids, t)
+    segments, n = diffs.shape
     G = 2.0 * segments * Mm
     C = 2.0 * segments * np.einsum("skij,sj->sik", dMm, diffs)
     base = np.einsum("sij,sj->si", G, diffs)
@@ -163,18 +178,28 @@ def _newton_system(nodes: np.ndarray, met: MetricSpec,
     return g.reshape(-1), H.reshape(inner * n, inner * n)
 
 
+def _newton_system(nodes: np.ndarray, met: MetricSpec,
+                   t: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """(energy, g, H) of one path from one eval_raw call (see _assemble)."""
+    energy, terms = _midpoint_eval(nodes, met, t)
+    return (energy, *_assemble(*terms))
+
+
 def build_path(x_star: np.ndarray, x: np.ndarray, met: MetricSpec,
                cfg: ControllerConfig, t: float = 0.0) -> PathDiscretization:
     """Discretized path from x_star to x with path_segments segments.
 
     Starts from the straight line; for a state-dependent metric, takes
-    Newton steps on the interior nodes of the discrete energy (one
-    eval_raw call and one dense solve each) until the Newton decrement
-    g' H^-1 g is at most NEWTON_TOL times the energy, for at most
-    NEWTON_MAX_ITER steps.  Each step scores the fractions 0.5^k,
-    k = 0..29, of the Newton step in one stacked path_energy call and
-    keeps the first whose energy is positive and not above the current
-    one; Newton stops when none qualifies.  Endpoints are never moved.
+    Newton steps on the interior nodes of the discrete energy until the
+    Newton decrement g' H^-1 g is at most NEWTON_TOL times the energy,
+    for at most NEWTON_MAX_ITER steps.  Each iterate costs one eval_raw
+    call at its midpoints and one dense solve.  The full step is tried
+    first: its eval_raw call gives its energy, and, if that energy is
+    positive and not above the current one, the next system too.  Only
+    after a rejected full step are the fractions 0.5^k, k = 1..29,
+    scored in one stacked path_energy call; the first that qualifies is
+    kept and its system built, and Newton stops when none does.
+    Endpoints are never moved.
     """
     a = np.asarray(x_star, dtype=float)
     b = np.asarray(x, dtype=float)
@@ -185,26 +210,35 @@ def build_path(x_star: np.ndarray, x: np.ndarray, met: MetricSpec,
         e = b - a
         (M,) = met.eval_M(a, t)
         return PathDiscretization(nodes=nodes, energy=float(e @ M @ e))
-    energy = path_energy(nodes, met, t)
+    energy, g, H = _newton_system(nodes, met, t)
     if cfg.path_segments < 2:
         return PathDiscretization(nodes=nodes, energy=energy)
 
     iterations = 0
     while True:
-        g, H = _newton_system(nodes, met, t)
         step = np.linalg.solve(H, g)
         residual = float(g @ step)
         if residual <= NEWTON_TOL * energy or iterations == NEWTON_MAX_ITER:
             break
-        cands = np.repeat(nodes[None], _HALVINGS.size, axis=0)
-        cands[:, 1:-1] -= _HALVINGS[:, None, None] * step.reshape(-1, nodes.shape[1])
-        energies = path_energy(cands, met, t)
+        step = step.reshape(-1, nodes.shape[1])
+        cand = nodes.copy()
+        cand[1:-1] -= step
         # a step out of the region where M is positive definite can
-        # reach an energy at or below zero
-        (kept,) = np.nonzero((energies > 0.0) & (energies <= energy))
-        if kept.size == 0:
-            break
-        nodes, energy = cands[kept[0]], float(energies[kept[0]])
+        # reach an energy at or below zero, and a non-finite dM/dx, so
+        # the system is assembled only for a kept candidate
+        cand_energy, terms = _midpoint_eval(cand, met, t)
+        if 0.0 < cand_energy <= energy:
+            g, H = _assemble(*terms)
+        else:
+            cands = np.repeat(nodes[None], _HALVINGS.size - 1, axis=0)
+            cands[:, 1:-1] -= _HALVINGS[1:, None, None] * step
+            energies = path_energy(cands, met, t)
+            (kept,) = np.nonzero((energies > 0.0) & (energies <= energy))
+            if kept.size == 0:
+                break
+            cand = cands[kept[0]]
+            cand_energy, g, H = _newton_system(cand, met, t)
+        nodes, energy = cand, cand_energy
         iterations += 1
     return PathDiscretization(nodes=nodes, energy=energy,
                               iterations=iterations, residual=residual)
@@ -221,16 +255,39 @@ def tracking_feedback(x: np.ndarray, x_star: np.ndarray, u_star: np.ndarray,
     from any node is re-raised with the node attached.
     """
     u = np.asarray(u_star, dtype=float).copy()
-    path = build_path(x_star, x, met, cfg, t)
-    nodes = path.nodes
+    nodes = build_path(x_star, x, met, cfg, t).nodes
     diffs = nodes[1:] - nodes[:-1]
-    if not diffs.any():
+    moving = diffs.any(axis=1)
+    if not moving.any():
         return u
     raws = plant_for(sys, met).raw_batch(nodes[:-1], t)
+    a0, slope, w, b = feedback_terms(raws, diffs, cfg.lam)
+    # a at u = u_star on every segment, summed over inputs in the order
+    # of the scalar scan below
+    slope_u = np.zeros_like(a0)
+    for s_i, u_i in zip(slope.T, u):
+        slope_u += s_i * u_i
+    a = a0 + slope_u
+    # as in rho, only a < 0 gives a zero gain (a NaN a does not)
+    active = moving & ~(a < 0.0)
+    if not active.any():
+        return u
+    first = int(np.argmax(active))
+    if not slope[first + 1:].any():
+        # no correction feeds back into a later gain: all are known now
+        weak = active & (b <= B_FLOOR)
+        if weak.any():
+            j = int(np.argmax(weak))
+            raise Infeasible(float(a[j]), float(b[j]), x=nodes[j], node=j, time=t)
+        r = np.zeros_like(a)
+        aa, bb = a[active], b[active]
+        r[active] = (aa + np.sqrt(aa * aa + bb * bb)) / bb
+        steps = -(r[first:, None] * w[first:])
+        return np.cumsum(np.vstack([u, steps]), axis=0)[-1]
     # the scan is scalar work, so it runs on Python floats
-    a0, slope, w, b = (v.tolist() for v in feedback_terms(raws, diffs, cfg.lam))
+    a0, slope, w, b = (v.tolist() for v in (a0, slope, w, b))
     u = u.tolist()
-    for j in np.flatnonzero(diffs.any(axis=1)).tolist():
+    for j in (first + np.flatnonzero(moving[first:])).tolist():
         slope_u = 0.0
         for s_i, u_i in zip(slope[j], u):
             slope_u += s_i * u_i

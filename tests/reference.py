@@ -12,8 +12,11 @@ closed-form geodesic in tests/test_controller.py, and the closed-form
 tests.
 
 Only data types (RawEval, OrthogonalityResult, PowerLawFit,
-PathDiscretization), the tolerance constants and the single-path energy
-are taken from the package.
+PathDiscretization, Infeasible), the tolerance constants and the
+single-path energy are taken from the package, with two exceptions:
+build_path_separate_scoring and tracking_feedback_scalar keep the
+controller's earlier loops, which share its kernels by design, as the
+bitwise oracles of the loops that replaced them.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ccmkit.controller import PathDiscretization, path_energy
+from ccmkit import controller
+from ccmkit.controller import Infeasible, PathDiscretization, path_energy
+from ccmkit.differential import feedback_terms
 from ccmkit.model import RawEval, plant_for
 from ccmkit.verifier import (
     EPS_ORTH,
@@ -157,6 +162,70 @@ def build_path_sequential(x_star, x, met, cfg, t: float = 0.0) -> PathDiscretiza
         if not improved:
             break
     return PathDiscretization(nodes=nodes, energy=energy)
+
+
+def build_path_separate_scoring(x_star, x, met, cfg,
+                                t: float = 0.0) -> PathDiscretization:
+    """build_path with every Newton iterate scored apart from its system:
+    the straight line's path_energy call, then per step one midpoint
+    _newton_system call, one solve and one stacked path_energy call over
+    all 30 halvings, the first with 0 < E <= E_current kept."""
+    halvings = 0.5 ** np.arange(30)
+    a = np.asarray(x_star, dtype=float)
+    b = np.asarray(x, dtype=float)
+    nodes = np.linspace(a, b, cfg.path_segments + 1)
+    if np.array_equal(a, b):
+        return PathDiscretization(nodes=nodes, energy=0.0)
+    if met.constant:
+        e = b - a
+        (M,) = met.eval_M(a, t)
+        return PathDiscretization(nodes=nodes, energy=float(e @ M @ e))
+    energy = path_energy(nodes, met, t)
+    if cfg.path_segments < 2:
+        return PathDiscretization(nodes=nodes, energy=energy)
+    iterations = 0
+    while True:
+        _, g, H = controller._newton_system(nodes, met, t)
+        step = np.linalg.solve(H, g)
+        residual = float(g @ step)
+        if residual <= controller.NEWTON_TOL * energy \
+                or iterations == controller.NEWTON_MAX_ITER:
+            break
+        cands = np.repeat(nodes[None], halvings.size, axis=0)
+        cands[:, 1:-1] -= halvings[:, None, None] * step.reshape(-1, nodes.shape[1])
+        energies = path_energy(cands, met, t)
+        (kept,) = np.nonzero((energies > 0.0) & (energies <= energy))
+        if kept.size == 0:
+            break
+        nodes, energy = cands[kept[0]], float(energies[kept[0]])
+        iterations += 1
+    return PathDiscretization(nodes=nodes, energy=energy,
+                              iterations=iterations, residual=residual)
+
+
+def tracking_feedback_scalar(x, x_star, u_star, sys, met, cfg,
+                             t: float = 0.0) -> np.ndarray:
+    """tracking_feedback with the whole path scanned on Python floats,
+    one segment after the other: a = a0 + slope @ u summed over inputs
+    in order, u -= rho(a, b) w."""
+    u = np.asarray(u_star, dtype=float).copy()
+    nodes = controller.build_path(x_star, x, met, cfg, t).nodes
+    diffs = nodes[1:] - nodes[:-1]
+    if not diffs.any():
+        return u
+    raws = plant_for(sys, met).raw_batch(nodes[:-1], t)
+    a0, slope, w, b = (v.tolist() for v in feedback_terms(raws, diffs, cfg.lam))
+    u = u.tolist()
+    for j in np.flatnonzero(diffs.any(axis=1)).tolist():
+        slope_u = 0.0
+        for s_i, u_i in zip(slope[j], u):
+            slope_u += s_i * u_i
+        try:
+            r = controller.rho(a0[j] + slope_u, b[j])
+        except Infeasible as err:
+            raise Infeasible(err.a, err.b, x=nodes[j], node=j, time=t) from None
+        u = [u_i - r * w_i for u_i, w_i in zip(u, w[j])]
+    return np.array(u)
 
 
 def warped_geodesic(x_star, x, segments: int) -> tuple[np.ndarray, float]:

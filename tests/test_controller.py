@@ -24,7 +24,7 @@ import ccmkit.controller as controller
 import reference as ref
 from ccmkit.model import bundled_spec_path, load_spec_file, plant_for
 from conftest import curved_system, metric_of, scalar_counterexample, \
-    two_input_system
+    system_of, two_input_system
 from test_sweep import CASES as SWEEP_CASES
 
 WARPED = Path(__file__).parents[1] / "perfbench" / "specs" / "warped_double_integrator.json"
@@ -154,7 +154,8 @@ def test_newton_system_gradient_and_hessian():
     for met in (met_c, _affine_metric()):
         for segments in (2, 3, 9):
             nodes = rng.uniform(-1.0, 1.0, size=(segments + 1, 2))
-            g, H = controller._newton_system(nodes, met, 0.6)
+            energy, g, H = controller._newton_system(nodes, met, 0.6)
+            assert energy == path_energy(nodes, met, 0.6)
             want = ref.energy_gradient(nodes, met, 0.6)[1:-1].reshape(-1)
             np.testing.assert_allclose(g, want, rtol=0.0,
                                        atol=1e-12 * np.max(np.abs(want)))
@@ -164,7 +165,7 @@ def test_newton_system_gradient_and_hessian():
     h = 1e-6
     for segments in (2, 3, 9):
         nodes = rng.uniform(-1.0, 1.0, size=(segments + 1, 2))
-        _, H = controller._newton_system(nodes, met, 0.6)
+        _, _, H = controller._newton_system(nodes, met, 0.6)
         fd = np.empty_like(H)
         for col in range(H.shape[1]):
             step = np.zeros((segments - 1) * 2)
@@ -258,21 +259,91 @@ def _counting_path_energy(monkeypatch):
     return calls
 
 
+def _rejecting_metrics():
+    """Metrics whose full Newton step is often rejected over +-2.5."""
+    return (metric_of([["1 + x1^4", "0"], ["1 + x2^4"]], 1.0, 100.0, 0.5),
+            metric_of([["exp(2*x1)", "0"], ["exp(2*x1)"]], 0.01, 200.0, 0.5))
+
+
+def _matches_separate_scoring(met, box, rng, segments_list, draws):
+    for segments in segments_list:
+        cfg = ControllerConfig(lam=met.lam, path_segments=segments)
+        for _ in range(draws):
+            x_star, x = rng.uniform(-box, box, size=(2, met.n))
+            t = float(rng.uniform(0.0, 2.0))
+            want = ref.build_path_separate_scoring(x_star, x, met, cfg, t)
+            got = build_path(x_star, x, met, cfg, t)
+            assert np.array_equal(got.nodes, want.nodes)
+            assert type(got.energy) is float and got.energy == want.energy
+            assert got.iterations == want.iterations
+            assert got.residual == want.residual
+
+
+def test_build_path_matches_separate_scoring():
+    rng = np.random.default_rng(59)
+    for met, box in ((load_spec_file(WARPED).metric, 2.0),
+                     (curved_system()[1], 2.0),
+                     (SWEEP_CASES["three-state-two-input"]()[1], 1.0)):
+        _matches_separate_scoring(met, box, rng, (1, 2, 8, 32), 8)
+
+
+def test_build_path_matches_separate_scoring_after_rejected_steps():
+    rng = np.random.default_rng(67)
+    for met in _rejecting_metrics():
+        _matches_separate_scoring(met, 2.5, rng, (2, 4, 8, 32, 128), 18)
+
+
 def test_build_path_scores_each_round_in_one_call(monkeypatch):
     calls = _counting_path_energy(monkeypatch)
-    _, met = curved_system()
+    met = load_spec_file(WARPED).metric
     systems = []
     eval_raw = met.eval_raw
     monkeypatch.setitem(vars(met), "eval_raw",
                         lambda X, T: systems.append(np.shape(X)) or eval_raw(X, T))
-    cfg = ControllerConfig(lam=0.3, path_segments=16)
-    path = build_path(np.array([-1.0, 0.0]), np.array([1.0, 1.0]), met, cfg, 0.4)
-    # the straight line, then one stacked call of 30 steps per Newton step
-    assert calls[0] == (17, 2)
-    assert len(calls) == 1 + path.iterations
-    assert set(calls[1:]) == {(30, 17, 2)}
-    # one metric call at the midpoints per Newton system
-    assert systems == [(16, 2)] * (1 + path.iterations)
+    cfg = ControllerConfig(lam=met.lam, path_segments=32)
+    path = build_path(np.zeros(2), np.array([1.0, 0.5]), met, cfg, 0.4)
+    # the straight line's call gives its energy and its Newton system;
+    # the full step's call gives its energy and the system that stops
+    assert path.iterations == 1
+    assert systems == [(32, 2)] * 2
+    assert calls == []
+
+
+def test_build_path_halves_only_after_a_rejected_full_step(monkeypatch):
+    calls = _counting_path_energy(monkeypatch)
+    events = []
+    midpoint_eval = controller._midpoint_eval
+
+    def logged(nodes, met, t):
+        energy, terms = midpoint_eval(nodes, met, t)
+        events.append(("eval", energy, len(calls)))
+        return energy, terms
+
+    monkeypatch.setattr(controller, "_midpoint_eval", logged)
+    met = _rejecting_metrics()[1]
+    cfg = ControllerConfig(lam=met.lam, path_segments=16)
+    path = build_path(np.zeros(2), np.array([2.0, -2.0]), met, cfg)
+    assert set(calls) == {(29, 17, 2)}
+    # replay: the straight line, then per step the full step's call,
+    # followed by one stacked call when it is rejected, and by the call
+    # that rebuilds the system at the kept fraction
+    (_, current, _), rest = events[0], events[1:]
+    rejected = kept = 0
+    while rest:
+        (_, energy, stacks), rest = rest[0], rest[1:]
+        # no stacked call before this full step's own score
+        assert stacks == rejected
+        if 0.0 < energy <= current:
+            kept += 1
+        else:
+            rejected += 1
+            if not rest:
+                break               # no fraction qualified
+            (_, energy, stacks), rest = rest[0], rest[1:]
+            assert stacks == rejected
+        current = energy
+    assert rejected == len(calls) >= 1 and kept >= 1
+    assert current == path.energy
 
 
 def test_constant_metric_makes_no_path_energy_call(monkeypatch):
@@ -403,6 +474,80 @@ def test_tracking_feedback_infeasible_like_segmentwise_reference():
     assert np.array_equal(got.x, want.x)
     assert got.a == pytest.approx(want.a, rel=1e-12, abs=1e-300)
     assert got.b == pytest.approx(want.b, rel=1e-12, abs=1e-300)
+
+
+def _scan_cases():
+    specs = [load_spec_file(bundled_spec_path(name))
+             for name in ("double-integrator", "bounded-gain", "counterexample")]
+    specs.append(load_spec_file(WARPED))
+    cases = [(sf.system, sf.metric) for sf in specs]
+    return cases + [curved_system(), two_input_system()[:2], scalar_counterexample()]
+
+
+def _same_outcome(args, monkeypatch):
+    """tracking_feedback against the scalar scan, bitwise; True when the
+    scan called rho (the scalar branch ran)."""
+    try:
+        want, want_err = ref.tracking_feedback_scalar(*args), None
+    except Infeasible as err:
+        want, want_err = None, err
+    gains = []
+    monkeypatch.setattr(controller, "rho", lambda a, b: gains.append(a) or rho(a, b))
+    try:
+        got, got_err = tracking_feedback(*args), None
+    except Infeasible as err:
+        got, got_err = None, err
+    finally:
+        monkeypatch.setattr(controller, "rho", rho)
+    if want_err is None:
+        assert got_err is None
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+    else:
+        assert got_err is not None
+        assert (got_err.node, got_err.a, got_err.b, got_err.time) == \
+            (want_err.node, want_err.a, want_err.b, want_err.time)
+        assert np.array_equal(got_err.x, want_err.x)
+    return bool(gains)
+
+
+def test_tracking_feedback_matches_scalar_scan(monkeypatch):
+    rng = np.random.default_rng(71)
+    scalar_runs = {}
+    for k, (sys, met) in enumerate(_scan_cases()):
+        scalar_runs[k] = 0
+        for segments in (4, 16):
+            cfg = ControllerConfig(lam=met.lam, path_segments=segments)
+            for _ in range(12):
+                x, x_star = rng.uniform(-2.0, 2.0, size=(2, sys.n))
+                u_star = rng.uniform(-2.0, 2.0, size=sys.m)
+                t = float(rng.uniform(0.0, 2.0))
+                args = (x, x_star, u_star, sys, met, cfg, t)
+                scalar_runs[k] += _same_outcome(args, monkeypatch)
+    # the double integrator's constant B and M (H = 0): every gain in
+    # closed form; bounded-gain's B(x) feeds u back into later gains
+    assert scalar_runs[0] == 0
+    assert scalar_runs[1] > 0
+    # Infeasible through the scalar branch
+    sys, met = scalar_counterexample()
+    args = (np.array([0.0]), np.array([1.0]), np.array([1.0]), sys, met,
+            ControllerConfig(lam=0.5, path_segments=256), 0.0)
+    with pytest.raises(Infeasible):
+        tracking_feedback(*args)
+    assert _same_outcome(args, monkeypatch)
+
+
+def test_tracking_feedback_closed_form_infeasible_like_scalar_scan(monkeypatch):
+    # dx/dt = u with M = 1 close to the target: b = 4 |delta|^2 falls
+    # under the absolute B_FLOOR on every segment, and H = 0 puts the
+    # whole scan in closed form
+    sys = system_of(["0"], [["1"]])
+    met = metric_of([["1"]], 1.0, 1.0, 0.5)
+    args = (np.array([1e-6]), np.zeros(1), np.zeros(1), sys, met,
+            ControllerConfig(lam=0.5, path_segments=4), 0.0)
+    with pytest.raises(Infeasible) as ei:
+        tracking_feedback(*args)
+    assert ei.value.node == 0 and ei.value.a >= 0.0 and ei.value.b <= B_FLOOR
+    assert not _same_outcome(args, monkeypatch)
 
 
 def test_controller_config_defaults():
