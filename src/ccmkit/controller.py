@@ -46,7 +46,7 @@ from .differential import compute_ab, feedback_terms  # noqa: F401
 from .model import MetricSpec, RawEval, SystemSpec, plant_for
 
 B_FLOOR = 1e-12
-# Newton on the discrete path energy stops once g' H^-1 g <= NEWTON_TOL * E
+# Newton on the discrete path energy stops once 0 <= g' H^-1 g <= NEWTON_TOL * E
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 20
 # backtracking fractions of the Newton step
@@ -191,8 +191,10 @@ def build_path(x_star: np.ndarray, x: np.ndarray, met: MetricSpec,
 
     Starts from the straight line; for a state-dependent metric, takes
     Newton steps on the interior nodes of the discrete energy until the
-    Newton decrement g' H^-1 g is at most NEWTON_TOL times the energy,
-    for at most NEWTON_MAX_ITER steps.  Each iterate costs one eval_raw
+    Newton decrement g' H^-1 g lies in [0, NEWTON_TOL * energy], for at
+    most NEWTON_MAX_ITER steps.  A negative decrement means H is not
+    positive definite there, and the step is along g instead, E / |g|^2
+    at full length.  Each iterate costs one eval_raw
     call at its midpoints and one dense solve.  The full step is tried
     first: its eval_raw call gives its energy, and, if that energy is
     positive and not above the current one, the next system too.  Only
@@ -218,8 +220,16 @@ def build_path(x_star: np.ndarray, x: np.ndarray, met: MetricSpec,
     while True:
         step = np.linalg.solve(H, g)
         residual = float(g @ step)
-        if residual <= NEWTON_TOL * energy or iterations == NEWTON_MAX_ITER:
+        if 0.0 <= residual <= NEWTON_TOL * energy or iterations == NEWTON_MAX_ITER:
             break
+        if residual < 0.0:
+            # H is not positive definite and the Newton step climbs:
+            # descend along g instead, by energy / |g|^2 at full step
+            # (|g|^2 can underflow to 0 where g' H^-1 g does not)
+            gg = float(g @ g)
+            if gg == 0.0:
+                break
+            step = energy / gg * g
         step = step.reshape(-1, nodes.shape[1])
         cand = nodes.copy()
         cand[1:-1] -= step

@@ -16,6 +16,7 @@ the base every result dataclass serializes through.
 from __future__ import annotations
 
 import json
+import math
 import typing
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
@@ -29,6 +30,7 @@ from . import expr
 from .expr import Expression, compile_matrix, free_variables, jacobian, parse
 
 METRIC_BOUNDS_TOL = 1e-9   # absolute slack on the claimed [alpha1, alpha2]
+SWEEP_BYTES = 2 ** 20      # stage arrays a grid scan holds at once, in bytes
 
 _BUNDLED = ("counterexample", "double-integrator", "bounded-gain")
 
@@ -120,6 +122,19 @@ class GridSpec:
         X = self.x_points()
         ts = np.asarray(self.t_samples, dtype=float)
         return np.tile(X, (ts.size, 1)), np.repeat(ts, X.shape[0])
+
+    def chunks(self, points: int):
+        """The grid (x, t) in the order of samples(), at most `points` at a
+        time; only one chunk's points are ever built."""
+        axes = [np.linspace(lo, hi, count) for lo, hi, count in self.x_ranges]
+        shape = tuple(a.size for a in axes)
+        nx = math.prod(shape)
+        ts = np.asarray(self.t_samples, dtype=float).ravel()
+        for start in range(0, nx * ts.size, points):
+            it, ix = np.divmod(np.arange(start, min(start + points, nx * ts.size)), nx)
+            x = np.stack([a[i] for a, i in zip(axes, np.unravel_index(ix, shape))],
+                         axis=-1)
+            yield x, ts[it]
 
     def deltas(self, n: int) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -367,6 +382,18 @@ def plant_for(sys: SystemSpec, met: MetricSpec) -> Plant:
     return Plant(sys, met)
 
 
+def chunk_points(n: int, m: int) -> int:
+    """Points per chunk of a grid scan: SWEEP_BYTES over _point_bytes."""
+    return max(1, SWEEP_BYTES // _point_bytes(n, m))
+
+
+def _point_bytes(n: int, m: int) -> int:
+    """Bytes the verifier's stages hold per point at their peak: n^3 +
+    7 m n^2 + 9 n^2 + 24 float64 entries, fitted to tracemalloc peaks
+    for n <= 4, m <= 2 (768 bytes at n = 2, m = 1)."""
+    return 8 * (n ** 3 + 7 * m * n * n + 9 * n * n + 24)
+
+
 _ENTRY_LABELS = (("f", "f"), ("B", "B"), ("M", "M"), ("dfdx", "df/dx"),
                  ("dBdx", "dB/dx"), ("dMdx", "dM/dx"), ("dMdt", "dM/dt"))
 
@@ -448,6 +475,27 @@ def location(x: np.ndarray, t: np.ndarray, i: int) -> dict:
     return {"x": x[i].tolist(), "t": float(t[i])}
 
 
+class Extreme:
+    """Running extreme of a per-sample value over chunks in grid order:
+    the value and sample that pick (np.argmin or np.argmax) gives on the
+    whole grid, the first one on ties."""
+
+    def __init__(self, pick):
+        self.pick, self.value, self.x, self.t = pick, None, None, None
+
+    def add(self, v: np.ndarray, x: np.ndarray, t: np.ndarray, where=None) -> None:
+        """Fold in the samples of one chunk, or those where `where` holds."""
+        idx = np.arange(v.size) if where is None else np.flatnonzero(where)
+        if idx.size == 0:
+            return
+        i = idx[self.pick(v[idx])]
+        if self.value is None or self.pick([self.value, v[i]]) == 1:
+            self.value, self.x, self.t = v[i], x[i].copy(), t[i]
+
+    def at(self) -> dict:
+        return {} if self.value is None else {"x": self.x.tolist(), "t": float(self.t)}
+
+
 # ---------------------------------------------------------------------------
 # metric bounds
 
@@ -462,23 +510,25 @@ class MetricBoundsResult(Report):
 
 
 def check_metric_bounds(met: MetricSpec, grid: GridSpec) -> MetricBoundsResult:
-    """Eigenvalue scan of M over the grid against the claimed bounds.
+    """Eigenvalue scan of M over the grid against the claimed bounds, one
+    chunk of the grid at a time.
 
     Passes iff min eig >= alpha1 - METRIC_BOUNDS_TOL and max eig <=
     alpha2 + METRIC_BOUNDS_TOL at every grid (x, t).
     """
-    x, t = grid.samples()
-    (M,) = met.eval_M(x, t)
-    eigs = np.linalg.eigvalsh(M)
-    return metric_bounds(met, eigs[:, 0], eigs[:, -1], x, t)
+    lo, hi = Extreme(np.argmin), Extreme(np.argmax)
+    for x, t in grid.chunks(chunk_points(met.n, 0)):
+        (M,) = met.eval_M(x, t)
+        eigs = np.linalg.eigvalsh(M)
+        lo.add(eigs[:, 0], x, t)
+        hi.add(eigs[:, -1], x, t)
+    return metric_bounds(met, lo, hi)
 
 
-def metric_bounds(met: MetricSpec, lo: np.ndarray, hi: np.ndarray, x: np.ndarray,
-                  t: np.ndarray) -> MetricBoundsResult:
-    """Summarize each sample's lowest and highest eigenvalue of M against
-    the claimed bounds; argmin and argmax name the first extreme sample."""
-    i, j = int(np.argmin(lo)), int(np.argmax(hi))
+def metric_bounds(met: MetricSpec, lo: Extreme, hi: Extreme) -> MetricBoundsResult:
+    """The lowest and highest eigenvalue of M, folded over the grid,
+    against the claimed bounds; argmin and argmax name the first extreme
+    sample."""
     tol = METRIC_BOUNDS_TOL
-    passed = bool(lo[i] >= met.alpha1 - tol and hi[j] <= met.alpha2 + tol)
-    return MetricBoundsResult(passed, float(lo[i]), float(hi[j]),
-                              location(x, t, i), location(x, t, j))
+    passed = bool(lo.value >= met.alpha1 - tol and hi.value <= met.alpha2 + tol)
+    return MetricBoundsResult(passed, float(lo.value), float(hi.value), lo.at(), hi.at())

@@ -31,7 +31,7 @@ import numpy as np
 from . import expr
 from .differential import compute_H  # noqa: F401
 from .model import GridSpec, MetricSpec, RawEval, Report, SpecFile, SystemSpec
-from .verifier import _sweep, construct_psi  # noqa: F401
+from .verifier import _sweep_chunks, construct_psi  # noqa: F401
 
 # compute_H and construct_psi are not used here; they stay importable from
 # this module because perfbench/tracer.py patches them under these names.
@@ -228,53 +228,68 @@ def invariance_probe(sys: SystemSpec, met: MetricSpec, tf: FeedbackTransform,
     v-gradient, to FD_TOL; it agrees for constant beta only, so a
     state-dependent beta fails the probe.  The kernel margins of both
     systems must agree pointwise to MARGIN_TOL (both vacuous counts as a
-    match).
+    match).  Both sweeps walk the grid in step, one chunk at a time, with
+    every tangent of a chunk checked at once; a singular beta raises
+    ValueError at the first valid point that has one.
     """
-    sw = _sweep(sys, met, grid)
-    sw_t = _sweep(apply_feedback_transform(sys, tf), met, grid)
     deltas = grid.deltas(sys.n)
-    idx = np.flatnonzero(sw.valid)
-    _, beta, kappa, gamma = tf.at(sw.x[idx], sw.t[idx])
-    psibar = kappa * sw.psi[idx] / gamma
+    rows, cols = deltas[:, None, None, None, :], deltas[:, None, None, :, None]
+    tsys = apply_feedback_transform(sys, tf)
+    points = valid = fd_checked = 0
+    min_slack, fd_max_err, margin_max_diff = math.inf, 0.0, 0.0
+    kappa_max, gamma_min, psibar_max = 0.0, math.inf, 0.0
+    margins_ok = True
+    # both systems' sweeps walk the same chunks of the grid in step; of
+    # the transformed system only the margins and H are read
+    for sw, sw_t in zip(_sweep_chunks(sys, met, grid),
+                        _sweep_chunks(tsys, met, grid, certificate=False)):
+        idx = np.flatnonzero(sw.valid)
+        points += sw.valid.size
+        valid += idx.size
+        if idx.size == 0:
+            continue
+        _, beta, kappa, gamma = tf.at(sw.x[idx], sw.t[idx])
+        psibar = kappa * sw.psi[idx] / gamma
 
-    # kernel margins; an empty kernel counts as -inf on both sides
-    m1, m2 = (np.where(np.isnan(s.margin[idx]), -np.inf, s.margin[idx]) for s in (sw, sw_t))
-    with np.errstate(invalid="ignore"):
-        diff = np.where(np.isinf(m1) & np.isinf(m2), 0.0, np.abs(m1 - m2))
-    margins_ok = not np.any(diff > MARGIN_TOL)
+        # kernel margins; an empty kernel counts as -inf on both sides
+        m1, m2 = (np.where(np.isnan(s.margin[idx]), -np.inf, s.margin[idx])
+                  for s in (sw, sw_t))
+        with np.errstate(invalid="ignore"):
+            diff = np.where(np.isinf(m1) & np.isinf(m2), 0.0, np.abs(m1 - m2))
+        margins_ok = margins_ok and not np.any(diff > MARGIN_TOL)
 
-    # each tangent at every point at once: p_i = delta' H_i delta,
-    # grad_v = beta' p and w = beta' B' M delta; at the first fd_checked
-    # points grad_v must equal the transformed slope delta' Htilde_i delta
-    H, M = sw.H[idx], sw.raw.M[idx]
-    betaT = np.swapaxes(beta, -1, -2)
-    BT = np.swapaxes(sw.raw.B[idx], -1, -2)
-    fd_checked = min(FD_POINTS, idx.size)
-    Ht = sw_t.H[idx[:fd_checked]]
-    min_slack, fd_max_err = math.inf, 0.0
-    for d in deltas:
-        dc = d[:, None]
-        grad_v = (betaT @ ((d[None, :] @ H) @ dc)[..., 0])[..., 0]
-        w = betaT @ (BT @ (M @ dc))
-        rhs = psibar * 4.0 * (np.swapaxes(w, -1, -2) @ w)[:, 0, 0]
+        # every tangent at every point at once, tangents on the first
+        # axis: p_i = delta' H_i delta, grad_v = beta' p and w = beta' B' M
+        # delta; at the first FD_POINTS valid points of the grid grad_v must
+        # equal the transformed slope delta' Htilde_i delta
+        H, M = sw.H[idx], sw.raw.M[idx]
+        betaT = np.swapaxes(beta, -1, -2)
+        BT = np.swapaxes(sw.raw.B[idx], -1, -2)
+        grad_v = (betaT @ ((rows @ H) @ cols)[..., 0])[..., 0]
+        w = betaT @ (BT @ (M @ deltas[:, None, :, None]))
+        rhs = psibar * 4.0 * (np.swapaxes(w, -1, -2) @ w)[..., 0, 0]
         slack = rhs - np.max(np.abs(grad_v), axis=-1, initial=0.0)
-        min_slack = min(min_slack, float(np.min(slack, initial=math.inf)))
-        g = grad_v[:fd_checked]
-        err = np.abs((d @ Ht) @ d - g) / (1.0 + np.abs(g))
-        fd_max_err = max(fd_max_err, float(np.max(err, initial=0.0)))
+        min_slack = min(min_slack, float(np.min(slack)))
+        k = min(FD_POINTS - fd_checked, idx.size)
+        if k:
+            g = grad_v[:, :k]
+            err = np.abs(((rows @ sw_t.H[idx[:k]]) @ cols)[..., 0, 0] - g) / (1.0 + np.abs(g))
+            fd_max_err = max(fd_max_err, float(np.max(err)))
+        fd_checked += k
+        margin_max_diff = float(np.max(diff, initial=margin_max_diff))
+        kappa_max = float(np.max(kappa, initial=kappa_max))
+        gamma_min = float(np.min(gamma, initial=gamma_min))
+        psibar_max = float(np.max(psibar, initial=psibar_max))
 
     if not math.isfinite(min_slack):
         min_slack = 0.0
-    gamma_min = float(np.min(gamma, initial=math.inf))
     passed = (min_slack >= -SLACK_TOL) and margins_ok and (
         fd_checked == 0 or fd_max_err <= FD_TOL
     )
     return InvarianceResult(
-        passed=passed, checked_points=idx.size * len(deltas),
-        skipped_invalid=sw.valid.size - idx.size, min_slack=min_slack,
-        kappa_max=float(np.max(kappa, initial=0.0)),
+        passed=passed, checked_points=valid * len(deltas),
+        skipped_invalid=points - valid, min_slack=min_slack, kappa_max=kappa_max,
         gamma_min=gamma_min if math.isfinite(gamma_min) else 0.0,
-        psibar_max=float(np.max(psibar, initial=0.0)), fd_checked=fd_checked,
-        fd_max_err=fd_max_err, margin_max_diff=float(np.max(diff, initial=0.0)),
-        margins_match=margins_ok,
+        psibar_max=psibar_max, fd_checked=fd_checked, fd_max_err=fd_max_err,
+        margin_max_diff=margin_max_diff, margins_match=margins_ok,
     )

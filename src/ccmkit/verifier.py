@@ -14,6 +14,11 @@ domain; a pass certifies the grid, never the whole state space):
   blowing up, or H_i leaking outside range Q) exactly where feedback
   design breaks down, and the verifier reports that as a Condition-1
   failure with a power-law growth diagnostic.
+
+The grid is checked one chunk of points at a time: model.chunk_points
+keeps each chunk's stage arrays within model.SWEEP_BYTES, so memory does
+not grow with the grid.  Every summary is a streaming reduction over the
+chunks in grid order, with the tie rules of a whole-grid pass.
 """
 
 from __future__ import annotations
@@ -25,14 +30,17 @@ import numpy as np
 
 from .differential import compute_H, compute_Q
 from .model import (
+    Extreme,
     GridSpec,
     MetricBoundsResult,
     MetricSpec,
+    Plant,
     RawEval,
     Report,
     SystemSpec,
     _flag_non_finite,
     check_metric_bounds,  # noqa: F401
+    chunk_points,
     location,
     metric_bounds,
     plant_for,
@@ -218,11 +226,12 @@ def construct_psi(Q: np.ndarray, H: np.ndarray) -> PsiCertificate:
 
 
 # ---------------------------------------------------------------------------
-# grid sweep: every stage at every grid point in one pass
+# grid sweep: every stage at every point of one chunk of the grid, and the
+# streaming reductions that fold the chunks into the summaries
 
 @dataclass
 class _Sweep:
-    """Per-point results of one pass, in grid order (t samples outermost)."""
+    """Per-point results of one chunk of points, in grid order."""
 
     x: np.ndarray              # (P, n) points
     t: np.ndarray              # (P,) time samples
@@ -240,12 +249,13 @@ class _Sweep:
     h_norm: np.ndarray         # max_i ||H_i||_F
 
 
-def _sweep(sys: SystemSpec, met: MetricSpec, grid: GridSpec) -> _Sweep:
-    """Every pointwise check at every grid point, at the rate met.lam: one
-    raw batch over the whole grid, flagged for non-finite entries, then
-    checked in one pass."""
-    x, t = grid.samples()
-    rb = plant_for(sys, met).raw_batch(x, t)
+def _sweep(plant: Plant, lam: float, x: np.ndarray, t: np.ndarray,
+           certificate: bool = True) -> _Sweep:
+    """Every pointwise check at the stacked points (x, t), at the rate
+    lam: one raw batch, flagged for non-finite entries, then checked in
+    one pass.  Without certificate, the certificate stage is skipped and
+    psi, valid and cert_residual are None."""
+    rb = plant.raw_batch(x, t)
     _flag_non_finite(rb, x, t)
     P, n = rb.f.shape
     M = rb.M
@@ -253,15 +263,79 @@ def _sweep(sys: SystemSpec, met: MetricSpec, grid: GridSpec) -> _Sweep:
     Hn, Htol = _h_tol(H)
     Mdot0 = rb.dMdt + (rb.f[:, None, :] @ rb.dMdx.reshape(P, n, n * n)).reshape(P, n, n)
     MA = M @ rb.dfdx
-    S = Mdot0 + MA + _T(MA) + 2.0 * met.lam * M
+    S = Mdot0 + MA + _T(MA) + 2.0 * lam * M
     margin, orth_residual, orth_ok = _kernel_checks(M @ rb.B, H, S, Htol)
-    psi, valid, cert_residual = _certificate(H, compute_Q(rb), Htol)
+    psi = valid = cert_residual = None
+    if certificate:
+        psi, valid, cert_residual = _certificate(H, compute_Q(rb), Htol)
     eigs = np.linalg.eigvalsh(M)
     lo, hi = eigs[:, 0], eigs[:, -1]
     return _Sweep(x=x, t=t, raw=rb, H=H, margin=margin, eig_lo=lo, eig_hi=hi,
                   eps=EPS_MARGIN * (1.0 + np.maximum(np.abs(lo), np.abs(hi))),
                   orth_residual=orth_residual, orth_ok=orth_ok, psi=psi,
                   cert_residual=cert_residual, valid=valid, h_norm=np.max(Hn, axis=1))
+
+
+def _sweep_chunks(sys: SystemSpec, met: MetricSpec, grid: GridSpec,
+                  certificate: bool = True):
+    """_sweep on each chunk of the grid in turn, grid order (t samples
+    outermost); chunk_points(n, m) points per chunk keep the stage arrays
+    within SWEEP_BYTES.  A non-finite raw value raises NonFiniteEvalError
+    in the chunk that holds it, naming the first such point."""
+    plant = plant_for(sys, met)
+    for x, t in grid.chunks(chunk_points(sys.n, sys.m)):
+        yield _sweep(plant, met.lam, x, t, certificate)
+
+
+class _Scan:
+    """Every summary of the grid, folded chunk by chunk in grid order:
+    counts, the first MAX_EXAMPLES failures and invalid points, and the
+    running extremes (the first sample on ties)."""
+
+    def __init__(self, sys: SystemSpec, met: MetricSpec, grid: GridSpec):
+        self.points = self.vacuous = self.invalid = 0
+        self.failures, self.invalid_examples = [], []
+        self.orth_bad = self.margin_bad = self.psi_positive = False
+        self.orth_residual = self.h_norm = 0.0
+        self.worst = Extreme(np.argmax)             # margin, non-vacuous points
+        self.max_psi = Extreme(np.argmax)           # psi, 0 where invalid
+        self.nearest_invalid = Extreme(np.argmin)   # |x|, invalid points off 0
+        self.eig_lo, self.eig_hi = Extreme(np.argmin), Extreme(np.argmax)
+        for sw in _sweep_chunks(sys, met, grid):
+            self._add(sw)
+
+    def _add(self, sw: _Sweep) -> None:
+        x, t = sw.x, sw.t
+        self.points += x.shape[0]
+        vacuous = np.isnan(sw.margin)
+        self.vacuous += int(vacuous.sum())
+        orth_bad = ~sw.orth_ok
+        margin_bad = sw.margin >= -sw.eps
+        self.orth_bad |= bool(orth_bad.any())
+        self.margin_bad |= bool(margin_bad.any())
+        for i in np.flatnonzero(orth_bad | margin_bad)[:MAX_EXAMPLES - len(self.failures)]:
+            at = location(x, t, i)
+            if orth_bad[i]:
+                self.failures.append({**at, "reason": "orthogonality",
+                                      "residual": float(sw.orth_residual[i])})
+            if margin_bad[i]:
+                self.failures.append({**at, "reason": "margin",
+                                      "margin": float(sw.margin[i]), "eps": float(sw.eps[i])})
+        del self.failures[MAX_EXAMPLES:]
+        self.worst.add(sw.margin, x, t, where=~vacuous)
+        self.orth_residual = float(np.max(sw.orth_residual, initial=self.orth_residual))
+
+        bad = np.flatnonzero(~sw.valid)
+        self.invalid += bad.size
+        self.invalid_examples += [{**location(x, t, i), "residual": float(sw.cert_residual[i])}
+                                  for i in bad[:MAX_EXAMPLES - len(self.invalid_examples)]]
+        self.max_psi.add(np.where(sw.valid, sw.psi, 0.0), x, t)
+        nx = _norms(x[bad])
+        self.nearest_invalid.add(nx, x[bad], t[bad], where=nx > 0.0)
+        self.psi_positive |= bool(np.any(sw.valid & (sw.psi > 0.0)))
+        self.h_norm = float(np.max(sw.h_norm, initial=self.h_norm))
+        self.eig_lo.add(sw.eig_lo, x, t)
+        self.eig_hi.add(sw.eig_hi, x, t)
 
 
 @dataclass
@@ -275,30 +349,14 @@ class ContractionResult(Report):
     orthogonality: OrthogonalityResult | None = None
 
 
-def _contraction(sw: _Sweep) -> ContractionResult:
-    vacuous = np.isnan(sw.margin)
-    orth_bad = ~sw.orth_ok
-    margin_bad = sw.margin >= -sw.eps
-    failures: list = []
-    for i in np.flatnonzero(orth_bad | margin_bad)[:MAX_EXAMPLES]:
-        at = location(sw.x, sw.t, i)
-        if orth_bad[i]:
-            failures.append({**at, "reason": "orthogonality",
-                             "residual": float(sw.orth_residual[i])})
-        if margin_bad[i]:
-            failures.append({**at, "reason": "margin",
-                             "margin": float(sw.margin[i]), "eps": float(sw.eps[i])})
-    worst, worst_at = None, {}
-    if not vacuous.all():
-        i = np.nanargmax(sw.margin)
-        worst, worst_at = float(sw.margin[i]), location(sw.x, sw.t, i)
-    orth = OrthogonalityResult(not orth_bad.any(),
-                               float(np.max(sw.orth_residual, initial=0.0)), EPS_ORTH)
+def _contraction(scan: _Scan) -> ContractionResult:
+    worst = scan.worst.value
+    orth = OrthogonalityResult(not scan.orth_bad, scan.orth_residual, EPS_ORTH)
     return ContractionResult(
-        passed=not (orth_bad.any() or margin_bad.any()),
-        checked_points=sw.x.shape[0], vacuous_points=int(vacuous.sum()),
-        worst_margin=worst, worst_at=worst_at, failures=failures[:MAX_EXAMPLES],
-        orthogonality=orth,
+        passed=not (scan.orth_bad or scan.margin_bad),
+        checked_points=scan.points, vacuous_points=scan.vacuous,
+        worst_margin=None if worst is None else float(worst),
+        worst_at=scan.worst.at(), failures=scan.failures, orthogonality=orth,
     )
 
 
@@ -309,7 +367,7 @@ def check_contraction(sys: SystemSpec, met: MetricSpec, grid: GridSpec) -> Contr
     point; where it fails, the point is recorded as a failure rather
     than raising.  Points with an empty kernel pass vacuously.
     """
-    return _contraction(_sweep(sys, met, grid))
+    return _contraction(_Scan(sys, met, grid))
 
 
 @dataclass
@@ -363,27 +421,23 @@ class Condition1Result(Report):
     power_law: PowerLawFit | None = None
 
 
-def _condition1(sys: SystemSpec, met: MetricSpec, sw: _Sweep) -> Condition1Result:
-    bad = np.flatnonzero(~sw.valid)
-    invalid_examples = [{**location(sw.x, sw.t, i), "residual": float(sw.cert_residual[i])}
-                        for i in bad[:MAX_EXAMPLES]]
-    psi = np.where(sw.valid, sw.psi, 0.0)
-    i = int(np.argmax(psi))
-    max_psi, max_at = (float(psi[i]), location(sw.x, sw.t, i)) if psi[i] > 0.0 else (0.0, {})
-    blow_up = bad.size > 0 or max_psi > PSI_CAP
+def _condition1(sys: SystemSpec, met: MetricSpec, scan: _Scan) -> Condition1Result:
+    top = scan.max_psi
+    max_psi, max_at = (float(top.value), top.at()) if top.value > 0.0 else (0.0, {})
+    blow_up = scan.invalid > 0 or max_psi > PSI_CAP
     power_law = None
     if blow_up:
         # fit along the ray through the invalid point nearest the origin
         # (the first one on ties), else through the largest psi
-        nx = _norms(sw.x)
-        off = bad[nx[bad] > 0.0]
-        j = off[np.argmin(nx[off])] if off.size else (i if max_at and nx[i] > 0.0 else None)
-        if j is not None:
-            power_law = fit_psi_power_law(sys, met, sw.x[j], float(sw.t[j]))
+        ray = scan.nearest_invalid
+        if ray.value is None and max_at and _norms(top.x[None])[0] > 0.0:
+            ray = top
+        if ray.value is not None:
+            power_law = fit_psi_power_law(sys, met, ray.x, float(ray.t))
     return Condition1Result(
-        passed=not blow_up, checked_points=sw.x.shape[0], max_psi=max_psi,
-        max_psi_at=max_at, invalid_count=int(bad.size),
-        invalid_examples=invalid_examples, blow_up=blow_up, power_law=power_law,
+        passed=not blow_up, checked_points=scan.points, max_psi=max_psi,
+        max_psi_at=max_at, invalid_count=scan.invalid,
+        invalid_examples=scan.invalid_examples, blow_up=blow_up, power_law=power_law,
     )
 
 
@@ -396,7 +450,7 @@ def check_condition1(sys: SystemSpec, met: MetricSpec, grid: GridSpec) -> Condit
     blow-up of the scalar counterexample the fitted exponent is -3)
     from merely large finite values.
     """
-    return _condition1(sys, met, _sweep(sys, met, grid))
+    return _condition1(sys, met, _Scan(sys, met, grid))
 
 
 @dataclass
@@ -409,14 +463,11 @@ class StrongConditionsResult(Report):
     psi_zero_confirmed: bool | None = None  # set when strong holds
 
 
-def _strong(sw: _Sweep, contraction: ContractionResult) -> StrongConditionsResult:
-    max_h = float(np.max(sw.h_norm, initial=0.0))
-    c2 = max_h <= C2_TOL
+def _strong(scan: _Scan, contraction: ContractionResult) -> StrongConditionsResult:
+    c2 = scan.h_norm <= C2_TOL
     strong = contraction.passed and c2
-    psi_zero: bool | None = None
-    if strong:
-        psi_zero = not np.any(sw.valid & (sw.psi > 0.0))
-    return StrongConditionsResult(contraction.passed, c2, strong, max_h,
+    psi_zero = not scan.psi_positive if strong else None
+    return StrongConditionsResult(contraction.passed, c2, strong, scan.h_norm,
                                   C2_TOL, psi_zero)
 
 
@@ -427,8 +478,8 @@ def check_strong_conditions(sys: SystemSpec, met: MetricSpec,
     columns), C2 asks every H_i to vanish identically on the grid.
     When both hold, the psi = 0 certificate is confirmed against the
     Condition-1 sweep."""
-    sw = _sweep(sys, met, grid)
-    return _strong(sw, _contraction(sw))
+    scan = _Scan(sys, met, grid)
+    return _strong(scan, _contraction(scan))
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +504,15 @@ def verify(sys: SystemSpec, met: MetricSpec, grid: GridSpec,
     The verdict is positive iff metric bounds, kernel contraction and
     the Condition-1 certificate sweep all pass on the checked domain.
     threads is accepted for compatibility and ignored: the grid is
-    checked in one vectorized pass.  A non-finite raw value anywhere on
-    the grid raises NonFiniteEvalError before any check runs.
+    checked in one pass, one vectorized chunk at a time, and only one
+    chunk's stage arrays are held.  A non-finite raw value anywhere on
+    the grid raises NonFiniteEvalError, naming the first such point.
     """
-    sw = _sweep(sys, met, grid)
-    bounds = metric_bounds(met, sw.eig_lo, sw.eig_hi, sw.x, sw.t)
-    contraction = _contraction(sw)
-    condition1 = _condition1(sys, met, sw)
-    strong = _strong(sw, contraction)
+    scan = _Scan(sys, met, grid)
+    bounds = metric_bounds(met, scan.eig_lo, scan.eig_hi)
+    contraction = _contraction(scan)
+    condition1 = _condition1(sys, met, scan)
+    strong = _strong(scan, contraction)
     verdict = bounds.passed and contraction.passed and condition1.passed
     return VerificationReport(
         domain=grid.describe(), scope=SCOPE_NOTE, metric_bounds=bounds,

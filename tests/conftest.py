@@ -3,7 +3,7 @@ expression text, plus a seeded random expression generator."""
 
 import numpy as np
 
-from ccmkit import expr
+from ccmkit import expr, model
 from ccmkit.expr import parse
 from ccmkit.model import GridSpec, MetricSpec, SystemSpec
 
@@ -30,6 +30,13 @@ def grid_of(x_ranges, u_samples, t_samples=(0.0,), **kw):
     return GridSpec([tuple(r) for r in x_ranges],
                     np.atleast_2d(np.asarray(u_samples, dtype=float)),
                     np.asarray(t_samples, dtype=float), **kw)
+
+
+def set_chunk_points(monkeypatch, n, m, points):
+    """Make every grid scan of an n-state, m-input system take `points`
+    points per chunk, through the byte budget."""
+    monkeypatch.setattr(model, "SWEEP_BYTES", points * model._point_bytes(n, m))
+    assert model.chunk_points(n, m) == points
 
 
 def scalar_counterexample():

@@ -188,9 +188,14 @@ def build_path_separate_scoring(x_star, x, met, cfg,
         _, g, H = controller._newton_system(nodes, met, t)
         step = np.linalg.solve(H, g)
         residual = float(g @ step)
-        if residual <= controller.NEWTON_TOL * energy \
+        if 0.0 <= residual <= controller.NEWTON_TOL * energy \
                 or iterations == controller.NEWTON_MAX_ITER:
             break
+        if residual < 0.0:
+            gg = float(g @ g)
+            if gg == 0.0:
+                break
+            step = energy / gg * g
         cands = np.repeat(nodes[None], halvings.size, axis=0)
         cands[:, 1:-1] -= halvings[:, None, None] * step.reshape(-1, nodes.shape[1])
         energies = path_energy(cands, met, t)

@@ -293,6 +293,25 @@ def test_build_path_matches_separate_scoring_after_rejected_steps():
         _matches_separate_scoring(met, 2.5, rng, (2, 4, 8, 32, 128), 18)
 
 
+@pytest.mark.parametrize("x_star, x", [((-1.0, 2.0), (2.0, -1.0)),
+                                       ((0.0, 0.0), (2.0, -2.0))])
+def test_build_path_descends_through_a_negative_decrement(x_star, x):
+    # the model Hessian drops d' d2M d, so on diag(1 + x1^4, 1 + x2^4) it
+    # is indefinite at the straight line and g' H^-1 g < 0 there; a
+    # negative decrement is no convergence, and the path must still get
+    # at least as low as the steepest descent of the sequential oracle
+    met = _rejecting_metrics()[0]
+    cfg = ControllerConfig(lam=met.lam, path_segments=16)
+    x_star, x = np.array(x_star), np.array(x)
+    _, g, H = controller._newton_system(np.linspace(x_star, x, 17), met, 0.0)
+    assert g @ np.linalg.solve(H, g) < 0.0
+    got = build_path(x_star, x, met, cfg)
+    want = ref.build_path_sequential(x_star, x, met, cfg)
+    assert got.iterations > 0
+    assert got.energy <= want.energy * (1.0 + 1e-12)
+    assert got.energy == pytest.approx(path_energy(got.nodes, met), rel=1e-14)
+
+
 def test_build_path_scores_each_round_in_one_call(monkeypatch):
     calls = _counting_path_energy(monkeypatch)
     met = load_spec_file(WARPED).metric

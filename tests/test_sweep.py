@@ -6,9 +6,11 @@ stages.  Here every grid point is recomputed with the per-point
 reference of tests/reference.py (kernel_basis, check_orthogonality,
 check_ccm_point, eps_margin, construct_psi, compute_H): flags must match
 exactly, floats to 1e-12 relative, and the summaries must list failures
-in grid order with their cap of 16.
+in grid order with their cap of 16.  The scans read the grid in chunks:
+every summary must come out byte for byte the same at any chunk length.
 """
 
+import json
 import math
 from dataclasses import replace
 from functools import lru_cache
@@ -17,9 +19,11 @@ import numpy as np
 import pytest
 
 import reference as ref
+from ccmkit import model
 from ccmkit.model import (
     NonFiniteEvalError,
     bundled_spec_path,
+    check_metric_bounds,
     load_spec_file,
     plant_for,
 )
@@ -33,9 +37,10 @@ from ccmkit.verifier import (
     construct_psi,
     fit_psi_power_law,
     kernel_basis,
+    verify,
 )
-from conftest import curved_system, grid_of, metric_of, system_of, \
-    two_input_system
+from conftest import curved_system, grid_of, metric_of, set_chunk_points, \
+    system_of, two_input_system
 
 RTOL = 1e-12
 
@@ -156,6 +161,11 @@ def _reference_rows(sys, met, grid):
     return rows
 
 
+def _whole_grid(sys, met, grid):
+    """The per-chunk stage on the whole grid as one chunk."""
+    return _sweep(plant_for(sys, met), met.lam, *grid.samples())
+
+
 def _same(got, want, where="result"):
     """Recursive equality with floats compared to RTOL relative."""
     if isinstance(want, dict):
@@ -175,7 +185,7 @@ def _same(got, want, where="result"):
 @pytest.mark.parametrize("name", list(CASES))
 def test_sweep_matches_point_functions(name):
     sys, met, grid, rows = _case(name)
-    sw = _sweep(sys, met, grid)
+    sw = _whole_grid(sys, met, grid)
     assert sw.x.tolist() == [r["x"] for r in rows]
     assert sw.t.tolist() == [r["t"] for r in rows]
     assert np.isnan(sw.margin).tolist() == [r["vacuous"] for r in rows]
@@ -244,9 +254,59 @@ def test_summaries_keep_grid_order_and_cap(name):
     _same(strong.max_H_norm, max(r["h_norm"] for r in rows), "max_H_norm")
 
 
+@pytest.mark.parametrize("name", list(CASES))
+def test_grid_chunks_concatenate_to_samples(name):
+    _sys, _met, grid, rows = _case(name)
+    x, t = grid.samples()
+    for points in (1, 7, len(rows), len(rows) + 5):
+        chunks = list(grid.chunks(points))
+        assert [c[0].shape[0] for c in chunks[:-1]] == [points] * (len(chunks) - 1)
+        assert 0 < chunks[-1][0].shape[0] <= points
+        cx, ct = (np.concatenate(c) for c in zip(*chunks))
+        assert cx.dtype == x.dtype and cx.shape == x.shape and cx.tobytes() == x.tobytes()
+        assert ct.dtype == t.dtype and ct.shape == t.shape and ct.tobytes() == t.tobytes()
+
+
+def _all_summaries(sys, met, grid):
+    """Every grid summary, serialized as the reports write them."""
+    return json.dumps([verify(sys, met, grid).to_dict(),
+                       check_contraction(sys, met, grid).to_dict(),
+                       check_condition1(sys, met, grid).to_dict(),
+                       check_strong_conditions(sys, met, grid).to_dict(),
+                       check_metric_bounds(met, grid).to_dict()])
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_summaries_do_not_depend_on_chunk_length(name, monkeypatch):
+    # each reduction folds the chunks in grid order with the whole-grid
+    # tie rules, so one point per chunk, seven, and the whole grid in
+    # one chunk give the same bytes as the default budget
+    sys, met, grid, rows = _case(name)
+    want = _all_summaries(sys, met, grid)
+    for points in (1, 7, len(rows)):
+        set_chunk_points(monkeypatch, sys.n, sys.m, points)
+        assert _all_summaries(sys, met, grid) == want, points
+
+
+def test_scans_hold_one_chunk_at_a_time(monkeypatch):
+    # no grid scan evaluates more than one chunk of points at once
+    sys, met, grid, rows = _case("curved-41x41-3t")
+    set_chunk_points(monkeypatch, sys.n, sys.m, 7)
+    raw, bounds = [], []
+    for spec, name, log in ((sys, "eval_raw", raw), (met, "eval_raw", raw),
+                            (met, "eval_M", bounds)):
+        fn = getattr(spec, name)
+        monkeypatch.setitem(vars(spec), name,
+                            lambda X, T, fn=fn, log=log: log.append(len(X)) or fn(X, T))
+    check_metric_bounds(met, grid)
+    check_contraction(sys, met, grid)
+    assert max(raw) == 7 and sum(raw) == 2 * len(rows)
+    assert max(bounds) == model.chunk_points(2, 0) and sum(bounds) == len(rows)
+
+
 def test_orthogonality_residual_between_one_and_ten_tolerances():
     sys, met, grid, rows = _case("orthogonality-5x-tolerance")
-    sw = _sweep(sys, met, grid)
+    sw = _whole_grid(sys, met, grid)
     ratio = sw.orth_residual / (1e-8 * (1.0 + sw.h_norm))
     assert ((ratio > 4.9) & (ratio < 5.1)).all()
     assert not sw.orth_ok.any() and not any(r["orth_ok"] for r in rows)
@@ -302,6 +362,19 @@ def _ray(rows):
     return max((r for r in rows if r["valid"]), key=lambda r: r["psi"])
 
 
+@pytest.mark.parametrize("name", list(CASES))
+def test_power_law_ray_is_the_reference_ray(name):
+    sys, met, grid, rows = _case(name)
+    c1 = check_condition1(sys, met, grid)
+    if not c1.blow_up:
+        assert c1.power_law is None
+        return
+    r = _ray(rows)
+    x = np.array(r["x"])
+    assert c1.power_law.direction == (x / np.linalg.norm(x)).tolist()
+    assert c1.power_law.t == r["t"]
+
+
 @pytest.mark.parametrize("name", ["counterexample", "curved-41x41-3t",
                                   "bounded-gain", "two-input",
                                   "double-integrator"])
@@ -316,27 +389,41 @@ def test_power_law_fit_matches_point_loop(name):
         _same(got.to_dict(), want.to_dict(), "fit")
 
 
-def test_non_finite_flagged_once_on_the_stacked_batch():
-    # 1/x1 is infinite at the middle of the 5-point grid; the error names
-    # the entry without the batch index and gives that point, not the grid
+def _non_finite_cases():
+    """(sys, met, grid, message) whose raw values are not finite somewhere
+    on the 5-point grid at two times."""
     grid = grid_of([(-1.0, 1.0, 5)], [[0.0]], t_samples=(0.25, 0.5))
     met = metric_of([["1"]], 1.0, 1.0, 0.5)
-    sys = system_of(["-x1 + 1/x1"], [["1"]])
-    with pytest.raises(NonFiniteEvalError,
-                       match=r"entry f\[0\] at x=\[0\.0\], t=0\.25$"):
-        _sweep(sys, met, grid)
-    # M and B both degenerate at 0: M is named, not an SVD failure
-    sys = system_of(["-x1"], [["x1^2"]])
-    with pytest.raises(NonFiniteEvalError, match=r"entry M\[0\]\[0\] at x=\[0\.0\]"):
-        _sweep(sys, metric_of([["1 + 1/x1^2"]], 1.0, 1.0, 0.5), grid)
-    # the first offending point in grid order carries its own t
-    sys = system_of(["-x1"], [["1/(x1 - t)"]])
-    with pytest.raises(NonFiniteEvalError,
-                       match=r"entry B\[0\]\[0\] at x=\[0\.5\], t=0\.5$"):
-        _sweep(sys, met, grid)
+    return [
+        # 1/x1 is infinite at the middle of the grid; the error names the
+        # entry without the batch index and gives that point, not the grid
+        (system_of(["-x1 + 1/x1"], [["1"]]), met, grid,
+         r"entry f\[0\] at x=\[0\.0\], t=0\.25$"),
+        # M and B both degenerate at 0: M is named, not an SVD failure
+        (system_of(["-x1"], [["x1^2"]]), metric_of([["1 + 1/x1^2"]], 1.0, 1.0, 0.5),
+         grid, r"entry M\[0\]\[0\] at x=\[0\.0\]"),
+        # the first offending point in grid order carries its own t
+        (system_of(["-x1"], [["1/(x1 - t)"]]), met, grid,
+         r"entry B\[0\]\[0\] at x=\[0\.5\], t=0\.5$"),
+    ]
+
+
+def test_non_finite_flagged_once_on_the_stacked_batch():
+    for sys, met, grid, message in _non_finite_cases():
+        with pytest.raises(NonFiniteEvalError, match=message):
+            _whole_grid(sys, met, grid)
     # the power-law probe flags the points of its ray the same way
     sys = system_of(["-x1"], [["x1^2"]])
     with pytest.raises(NonFiniteEvalError,
                        match=r"entry M\[0\]\[0\] at x=\[0\.25\], t=0\.0$"):
         fit_psi_power_law(sys, metric_of([["1 + 1/(x1 - 0.25)"]], 1.0, 1.0, 0.5),
                           np.array([2.0]), scales=np.array([0.5, 0.25, 0.125]))
+
+
+def test_non_finite_flagged_at_one_point_per_chunk(monkeypatch):
+    # verify streams the grid; with one point per chunk the error still
+    # names the first offending point in grid order
+    set_chunk_points(monkeypatch, 1, 1, 1)
+    for sys, met, grid, message in _non_finite_cases():
+        with pytest.raises(NonFiniteEvalError, match=message):
+            verify(sys, met, grid)

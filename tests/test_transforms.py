@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from ccmkit.transforms import (
     dual_point,
     invariance_probe,
 )
-from conftest import curved_system, grid_of, scalar_counterexample, \
+from conftest import curved_system, grid_of, scalar_counterexample, set_chunk_points, \
     two_input_system
 
 
@@ -307,6 +308,47 @@ def test_invariance_probe_checks_constant_beta_only(beta):
     else:
         assert res.fd_max_err > 0.1
         assert not res.passed
+
+
+def _probe_cases():
+    warped = load_spec_file(Path(__file__).parents[1]
+                            / "perfbench/specs/warped_double_integrator.json")
+    bounded = load_spec_file(bundled_spec_path("bounded-gain"))
+    counter = load_spec_file(bundled_spec_path("counterexample"))
+    return [(warped.system, warped.metric, FeedbackTransform.from_spec(warped),
+             warped.grid),
+            # a state-dependent beta: the slope check fails across chunks
+            (bounded.system, bounded.metric,
+             FeedbackTransform(n=1, alpha=_exprs(["0"]),
+                               beta=_matrix([["2 + 0.5*sin(x1)"]])), bounded.grid),
+            # invalid points near the origin are skipped
+            (counter.system, counter.metric,
+             FeedbackTransform(n=1, alpha=_exprs(["-x1"]), beta=_matrix([["2"]])),
+             counter.grid)]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_invariance_probe_does_not_depend_on_chunk_length(case, monkeypatch):
+    # both systems' chunks are walked in step; the slope cross-check
+    # still takes the first FD_POINTS valid points of the whole grid
+    sys, met, tf, grid = _probe_cases()[case]
+    want = json.dumps(invariance_probe(sys, met, tf, grid).to_dict())
+    points = len(grid.samples()[1])
+    for chunk in (1, 7, points):
+        set_chunk_points(monkeypatch, sys.n, sys.m, chunk)
+        assert json.dumps(invariance_probe(sys, met, tf, grid).to_dict()) == want
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 9])
+def test_invariance_probe_singular_beta_names_first_point(chunk, monkeypatch):
+    # beta vanishes at x1 = -0.25 and x1 = 0.5 of the 9-point grid
+    sf = load_spec_file(bundled_spec_path("bounded-gain"))
+    grid = grid_of([(-1.0, 1.0, 9)], [[0.0]])
+    tf = FeedbackTransform(n=1, alpha=_exprs(["0"]),
+                           beta=_matrix([["(x1 - 0.5)*(x1 + 0.25)"]]))
+    set_chunk_points(monkeypatch, 1, 1, chunk)
+    with pytest.raises(ValueError, match=r"beta is singular at x=\[-0\.25\], t=0\.0"):
+        invariance_probe(sf.system, sf.metric, tf, grid)
 
 
 def _exprs(texts):

@@ -33,8 +33,8 @@ from conftest import grid_of, metric_of, scalar_counterexample, system_of
 
 
 def _at_point(sys, met, x):
-    """The stacked sweep on a grid of the single point x."""
-    return _sweep(sys, met, grid_of([(v, v, 1) for v in x], [[0.0] * sys.m]))
+    """The stacked sweep at the single point x."""
+    return _sweep(plant_for(sys, met), met.lam, np.array([x], dtype=float), np.zeros(1))
 
 
 def _bundled(name):
