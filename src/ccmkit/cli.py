@@ -31,6 +31,7 @@ from . import __version__ as _version
 from .controller import ControllerConfig
 from .model import (
     NonFiniteEvalError,
+    Scenario,
     SpecError,
     SpecFile,
     bundled_spec_path,
@@ -186,7 +187,7 @@ def cmd_simulate(args) -> int:
     if sf.scenario is None:
         raise SpecError(f"spec {sf.name!r} has no scenario to simulate")
     sc = sf.scenario
-    segments = sc.segments if sc.segments is not None else 32
+    segments = ControllerConfig.path_segments if sc.segments is None else sc.segments
     cfg = ControllerConfig(lam=sf.metric.lam, path_segments=segments)
     try:
         traj, rep = simulate_closed_loop(
@@ -238,8 +239,8 @@ def cmd_demo_counterexample(args) -> int:
     sys_, met, grid = sf.system, sf.metric, sf.grid
     lam = met.lam
     sc = sf.scenario                # carries --horizon and --step already
-    horizon = sc.horizon if sc is not None else args.horizon or 10.0
-    step = sc.step if sc is not None else args.step or 1e-3
+    horizon = sc.horizon if sc is not None else args.horizon or Scenario.horizon
+    step = sc.step if sc is not None else args.step or Scenario.step
 
     report = verify(sys_, met, grid)
 

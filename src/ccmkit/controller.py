@@ -15,13 +15,14 @@ from the target (x*, u*) to the current state, a minimizing geodesic
 of M in the limit.  The path minimizes the discrete energy
 E = S sum_s d_s' M(m_s) d_s over its interior nodes (d_s the segment
 differences, m_s the midpoints) by Newton's method from the straight
-line.  Each Newton iterate costs one metric call at its midpoints and
-one dense solve: that call gives the iterate's energy, which decides
-whether the step to it is kept, and, once kept, the exact gradient and
-the block-tridiagonal Hessian without its O(1/S) curvature term.  Only
-a rejected full step makes one stacked energy call over its 29
-halvings.  A constant metric's straight line already is the geodesic:
-no refinement runs and its energy is e' M e with e = x - x*.
+line.  The step fractions 1, 1/2, 1/4, ... are tried in turn, each
+with one metric call at the candidate's midpoints: that call gives the
+candidate's energy, which decides whether it is kept, and, once kept,
+the exact gradient and the block-tridiagonal Hessian without its O(1/S)
+curvature term, so a Newton iterate whose full step is kept costs one
+metric call and one dense solve.  A constant metric's straight line
+already is the geodesic: no refinement runs and its energy is e' M e
+with e = x - x*.
 
 The path is scanned with per-segment terms that are affine in u: on a
 segment a(u) = a0 + sum_i u_i delta' H_i delta, and b and B' M delta do
@@ -116,29 +117,20 @@ def differential_feedback(raw: RawEval, delta: np.ndarray, u: np.ndarray,
     return -rho(float(a0 + slope @ u), float(b)) * w
 
 
-def _energy(diffs: np.ndarray, Mm: np.ndarray) -> np.ndarray:
-    """sum_s d_s' M_s d_s / ds over the segment axis of stacked paths."""
-    terms = np.einsum("...si,...sij,...sj->...s", diffs, Mm, diffs)
-    return np.sum(terms, axis=-1) * diffs.shape[-2]
+def _energy(diffs: np.ndarray, Mm: np.ndarray) -> float:
+    """sum_s d_s' M_s d_s / ds over the segments of one path."""
+    terms = np.einsum("si,sij,sj->s", diffs, Mm, diffs)
+    return float(np.sum(terms) * diffs.shape[0])
 
 
-def path_energy(nodes: np.ndarray, met: MetricSpec,
-                t: float = 0.0) -> float | np.ndarray:
+def path_energy(nodes: np.ndarray, met: MetricSpec, t: float = 0.0) -> float:
     """Discrete path energy sum_s dg_s' M(mid_s) dg_s / ds on the unit
-    parameter interval.
-
-    nodes is one path, shape (S + 1, n), and gives a float; paths
-    stacked over leading axes, shape (..., S + 1, n), give an array of
-    shape (...) holding bitwise the energy of each path alone.
-    """
+    parameter interval of one path, nodes of shape (S + 1, n)."""
     nodes = np.asarray(nodes, dtype=float)
-    if nodes.shape[-2] < 2:
-        energy = np.zeros(nodes.shape[:-2])
-    else:
-        mids = 0.5 * (nodes[..., 1:, :] + nodes[..., :-1, :])
-        (Mm,) = met.eval_M(mids, t)
-        energy = _energy(nodes[..., 1:, :] - nodes[..., :-1, :], Mm)
-    return float(energy) if nodes.ndim == 2 else energy
+    if nodes.shape[0] < 2:
+        return 0.0
+    (Mm,) = met.eval_M(0.5 * (nodes[1:] + nodes[:-1]), t)
+    return _energy(nodes[1:] - nodes[:-1], Mm)
 
 
 def _midpoint_eval(nodes: np.ndarray, met: MetricSpec, t: float):
@@ -147,7 +139,7 @@ def _midpoint_eval(nodes: np.ndarray, met: MetricSpec, t: float):
     turns into the Newton system."""
     diffs = nodes[1:] - nodes[:-1]
     Mm, dMm, _ = met.eval_raw(0.5 * (nodes[1:] + nodes[:-1]), t)
-    return float(_energy(diffs, Mm)), (diffs, Mm, dMm)
+    return _energy(diffs, Mm), (diffs, Mm, dMm)
 
 
 def _assemble(diffs: np.ndarray, Mm: np.ndarray,
@@ -178,13 +170,6 @@ def _assemble(diffs: np.ndarray, Mm: np.ndarray,
     return g.reshape(-1), H.reshape(inner * n, inner * n)
 
 
-def _newton_system(nodes: np.ndarray, met: MetricSpec,
-                   t: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """(energy, g, H) of one path from one eval_raw call (see _assemble)."""
-    energy, terms = _midpoint_eval(nodes, met, t)
-    return (energy, *_assemble(*terms))
-
-
 def build_path(x_star: np.ndarray, x: np.ndarray, met: MetricSpec,
                cfg: ControllerConfig, t: float = 0.0) -> PathDiscretization:
     """Discretized path from x_star to x with path_segments segments.
@@ -194,14 +179,11 @@ def build_path(x_star: np.ndarray, x: np.ndarray, met: MetricSpec,
     Newton decrement g' H^-1 g lies in [0, NEWTON_TOL * energy], for at
     most NEWTON_MAX_ITER steps.  A negative decrement means H is not
     positive definite there, and the step is along g instead, E / |g|^2
-    at full length.  Each iterate costs one eval_raw
-    call at its midpoints and one dense solve.  The full step is tried
-    first: its eval_raw call gives its energy, and, if that energy is
-    positive and not above the current one, the next system too.  Only
-    after a rejected full step are the fractions 0.5^k, k = 1..29,
-    scored in one stacked path_energy call; the first that qualifies is
-    kept and its system built, and Newton stops when none does.
-    Endpoints are never moved.
+    at full length.  The fractions 1, 0.5, ..., 0.5^29 of the step are
+    tried in order, each with one eval_raw call at the candidate's
+    midpoints; the first whose energy is positive and not above the
+    current one is kept, and the same call gives its Newton system.
+    Newton stops when no fraction qualifies.  Endpoints are never moved.
     """
     a = np.asarray(x_star, dtype=float)
     b = np.asarray(x, dtype=float)
@@ -212,12 +194,10 @@ def build_path(x_star: np.ndarray, x: np.ndarray, met: MetricSpec,
         e = b - a
         (M,) = met.eval_M(a, t)
         return PathDiscretization(nodes=nodes, energy=float(e @ M @ e))
-    energy, g, H = _newton_system(nodes, met, t)
-    if cfg.path_segments < 2:
-        return PathDiscretization(nodes=nodes, energy=energy)
-
+    energy, terms = _midpoint_eval(nodes, met, t)
     iterations = 0
     while True:
+        g, H = _assemble(*terms)
         step = np.linalg.solve(H, g)
         residual = float(g @ step)
         if 0.0 <= residual <= NEWTON_TOL * energy or iterations == NEWTON_MAX_ITER:
@@ -231,23 +211,17 @@ def build_path(x_star: np.ndarray, x: np.ndarray, met: MetricSpec,
                 break
             step = energy / gg * g
         step = step.reshape(-1, nodes.shape[1])
-        cand = nodes.copy()
-        cand[1:-1] -= step
         # a step out of the region where M is positive definite can
         # reach an energy at or below zero, and a non-finite dM/dx, so
         # the system is assembled only for a kept candidate
-        cand_energy, terms = _midpoint_eval(cand, met, t)
-        if 0.0 < cand_energy <= energy:
-            g, H = _assemble(*terms)
-        else:
-            cands = np.repeat(nodes[None], _HALVINGS.size - 1, axis=0)
-            cands[:, 1:-1] -= _HALVINGS[1:, None, None] * step
-            energies = path_energy(cands, met, t)
-            (kept,) = np.nonzero((energies > 0.0) & (energies <= energy))
-            if kept.size == 0:
+        for frac in _HALVINGS:
+            cand = nodes.copy()
+            cand[1:-1] -= frac * step
+            cand_energy, terms = _midpoint_eval(cand, met, t)
+            if 0.0 < cand_energy <= energy:
                 break
-            cand = cands[kept[0]]
-            cand_energy, g, H = _newton_system(cand, met, t)
+        else:
+            break
         nodes, energy = cand, cand_energy
         iterations += 1
     return PathDiscretization(nodes=nodes, energy=energy,

@@ -168,8 +168,8 @@ def build_path_separate_scoring(x_star, x, met, cfg,
                                 t: float = 0.0) -> PathDiscretization:
     """build_path with every Newton iterate scored apart from its system:
     the straight line's path_energy call, then per step one midpoint
-    _newton_system call, one solve and one stacked path_energy call over
-    all 30 halvings, the first with 0 < E <= E_current kept."""
+    system, one solve and path_energy calls over the halvings 1, 0.5,
+    ..., 0.5^29 in turn, the first with 0 < E <= E_current kept."""
     halvings = 0.5 ** np.arange(30)
     a = np.asarray(x_star, dtype=float)
     b = np.asarray(x, dtype=float)
@@ -185,7 +185,8 @@ def build_path_separate_scoring(x_star, x, met, cfg,
         return PathDiscretization(nodes=nodes, energy=energy)
     iterations = 0
     while True:
-        _, g, H = controller._newton_system(nodes, met, t)
+        _, terms = controller._midpoint_eval(nodes, met, t)
+        g, H = controller._assemble(*terms)
         step = np.linalg.solve(H, g)
         residual = float(g @ step)
         if 0.0 <= residual <= controller.NEWTON_TOL * energy \
@@ -196,13 +197,16 @@ def build_path_separate_scoring(x_star, x, met, cfg,
             if gg == 0.0:
                 break
             step = energy / gg * g
-        cands = np.repeat(nodes[None], halvings.size, axis=0)
-        cands[:, 1:-1] -= halvings[:, None, None] * step.reshape(-1, nodes.shape[1])
-        energies = path_energy(cands, met, t)
-        (kept,) = np.nonzero((energies > 0.0) & (energies <= energy))
-        if kept.size == 0:
+        step = step.reshape(-1, nodes.shape[1])
+        for frac in halvings:
+            cand = nodes.copy()
+            cand[1:-1] -= frac * step
+            cand_energy = path_energy(cand, met, t)
+            if 0.0 < cand_energy <= energy:
+                break
+        else:
             break
-        nodes, energy = cands[kept[0]], float(energies[kept[0]])
+        nodes, energy = cand, cand_energy
         iterations += 1
     return PathDiscretization(nodes=nodes, energy=energy,
                               iterations=iterations, residual=residual)

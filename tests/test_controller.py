@@ -23,6 +23,7 @@ from ccmkit.controller import (
 import ccmkit.controller as controller
 import reference as ref
 from ccmkit.model import bundled_spec_path, load_spec_file, plant_for
+from ccmkit.simulator import simulate_closed_loop
 from conftest import curved_system, metric_of, scalar_counterexample, \
     system_of, two_input_system
 from test_sweep import CASES as SWEEP_CASES
@@ -154,8 +155,9 @@ def test_newton_system_gradient_and_hessian():
     for met in (met_c, _affine_metric()):
         for segments in (2, 3, 9):
             nodes = rng.uniform(-1.0, 1.0, size=(segments + 1, 2))
-            energy, g, H = controller._newton_system(nodes, met, 0.6)
+            energy, terms = controller._midpoint_eval(nodes, met, 0.6)
             assert energy == path_energy(nodes, met, 0.6)
+            g, H = controller._assemble(*terms)
             want = ref.energy_gradient(nodes, met, 0.6)[1:-1].reshape(-1)
             np.testing.assert_allclose(g, want, rtol=0.0,
                                        atol=1e-12 * np.max(np.abs(want)))
@@ -165,7 +167,7 @@ def test_newton_system_gradient_and_hessian():
     h = 1e-6
     for segments in (2, 3, 9):
         nodes = rng.uniform(-1.0, 1.0, size=(segments + 1, 2))
-        _, _, H = controller._newton_system(nodes, met, 0.6)
+        _, H = controller._assemble(*controller._midpoint_eval(nodes, met, 0.6)[1])
         fd = np.empty_like(H)
         for col in range(H.shape[1]):
             step = np.zeros((segments - 1) * 2)
@@ -232,22 +234,6 @@ def test_build_path_energy_positive_and_below_straight_line(segments):
         assert 0.0 < path.energy <= straight
 
 
-def test_path_energy_stacked_paths_match_single_calls():
-    _, met = curved_system()
-    rng = np.random.default_rng(17)
-    for segments in (1, 2, 9):
-        paths = rng.uniform(-2.0, 2.0, size=(5, segments + 1, 2))
-        single = [path_energy(p, met, 0.7) for p in paths]
-        assert all(type(e) is float for e in single)
-        stacked = path_energy(paths, met, 0.7)
-        assert stacked.shape == (5,)
-        assert stacked.tolist() == single
-        # any number of leading axes
-        assert path_energy(paths.reshape(1, 5, segments + 1, 2), met, 0.7) \
-            .tolist() == [single]
-    assert np.array_equal(path_energy(np.zeros((3, 1, 2)), met), np.zeros(3))
-
-
 def _counting_path_energy(monkeypatch):
     calls = []
 
@@ -303,7 +289,8 @@ def test_build_path_descends_through_a_negative_decrement(x_star, x):
     met = _rejecting_metrics()[0]
     cfg = ControllerConfig(lam=met.lam, path_segments=16)
     x_star, x = np.array(x_star), np.array(x)
-    _, g, H = controller._newton_system(np.linspace(x_star, x, 17), met, 0.0)
+    _, terms = controller._midpoint_eval(np.linspace(x_star, x, 17), met, 0.0)
+    g, H = controller._assemble(*terms)
     assert g @ np.linalg.solve(H, g) < 0.0
     got = build_path(x_star, x, met, cfg)
     want = ref.build_path_sequential(x_star, x, met, cfg)
@@ -331,38 +318,85 @@ def test_build_path_scores_each_round_in_one_call(monkeypatch):
 def test_build_path_halves_only_after_a_rejected_full_step(monkeypatch):
     calls = _counting_path_energy(monkeypatch)
     events = []
-    midpoint_eval = controller._midpoint_eval
+    midpoint_eval, assemble = controller._midpoint_eval, controller._assemble
 
-    def logged(nodes, met, t):
+    def logged_eval(nodes, met, t):
         energy, terms = midpoint_eval(nodes, met, t)
-        events.append(("eval", energy, len(calls)))
+        events.append(("eval", nodes.copy(), energy))
         return energy, terms
 
-    monkeypatch.setattr(controller, "_midpoint_eval", logged)
+    def logged_assemble(*terms):
+        g, H = assemble(*terms)
+        events.append(("assemble", g, H))
+        return g, H
+
+    monkeypatch.setattr(controller, "_midpoint_eval", logged_eval)
+    monkeypatch.setattr(controller, "_assemble", logged_assemble)
     met = _rejecting_metrics()[1]
     cfg = ControllerConfig(lam=met.lam, path_segments=16)
     path = build_path(np.zeros(2), np.array([2.0, -2.0]), met, cfg)
-    assert set(calls) == {(29, 17, 2)}
-    # replay: the straight line, then per step the full step's call,
-    # followed by one stacked call when it is rejected, and by the call
-    # that rebuilds the system at the kept fraction
-    (_, current, _), rest = events[0], events[1:]
-    rejected = kept = 0
+    # replay: the straight line's call and system, then per step the
+    # fractions 1, 1/2, 1/4, ... of the step, one call each, until the
+    # first with 0 < E <= E_current, whose system is assembled next
+    assert [e[0] for e in events[:2]] == ["eval", "assemble"]
+    (_, current, energy), (_, g, H) = events[:2]
+    rest = events[2:]
+    kept = rejected = 0
     while rest:
-        (_, energy, stacks), rest = rest[0], rest[1:]
-        # no stacked call before this full step's own score
-        assert stacks == rejected
-        if 0.0 < energy <= current:
-            kept += 1
-        else:
+        step = np.linalg.solve(H, g)
+        if g @ step < 0.0:
+            step = energy / (g @ g) * g
+        step = step.reshape(-1, 2)
+        for k, event in enumerate(rest):
+            assert event[0] == "eval" and k < 30
+            _, cand, cand_energy = event
+            assert np.array_equal(cand[1:-1], current[1:-1] - 0.5 ** k * step)
+            if 0.0 < cand_energy <= energy:
+                break
             rejected += 1
-            if not rest:
-                break               # no fraction qualified
-            (_, energy, stacks), rest = rest[0], rest[1:]
-            assert stacks == rejected
-        current = energy
-    assert rejected == len(calls) >= 1 and kept >= 1
-    assert current == path.energy
+        else:
+            assert len(rest) == 30      # no fraction qualified
+            break
+        kind, g, H = rest[k + 1]
+        assert kind == "assemble"
+        current, energy, rest = cand, cand_energy, rest[k + 2:]
+        kept += 1
+    assert rejected >= 1 and kept == path.iterations >= 1
+    assert np.array_equal(path.nodes, current) and path.energy == energy
+    assert sum(e[0] == "assemble" for e in events) == kept + 1
+    # no metric's build_path scores with path_energy
+    rng = np.random.default_rng(73)
+    for met, box in (*((m, 2.5) for m in _rejecting_metrics()),
+                     (load_spec_file(WARPED).metric, 2.0), (curved_system()[1], 2.0)):
+        for _ in range(4):
+            build_path(*rng.uniform(-box, box, size=(2, met.n)), met, cfg)
+    assert calls == []
+
+
+def test_warped_scenario_keeps_every_full_step(monkeypatch):
+    # the closed loop that track-curved runs: if a build_path call here
+    # makes a third metric evaluation, a full Newton step was rejected
+    sf = load_spec_file(WARPED)
+    sc = sf.scenario
+    evals = []
+    build, midpoint_eval = controller.build_path, controller._midpoint_eval
+
+    def counted_build(*args):
+        evals.append(0)
+        return build(*args)
+
+    def counted_eval(*args):
+        evals[-1] += 1
+        return midpoint_eval(*args)
+
+    monkeypatch.setattr(controller, "build_path", counted_build)
+    monkeypatch.setattr(controller, "_midpoint_eval", counted_eval)
+    cfg = ControllerConfig(lam=sf.metric.lam)
+    _, rep = simulate_closed_loop(sf.system, sf.metric, cfg, sc.x_star, sc.u_star,
+                                  sc.x0, horizon=sc.horizon, step=sc.step)
+    assert (sc.horizon, sc.step, cfg.path_segments) == (2.0, 0.01, 32)
+    assert rep.passed and len(evals) > 200
+    assert max(evals) <= 2
 
 
 def test_constant_metric_makes_no_path_energy_call(monkeypatch):
@@ -403,6 +437,27 @@ def test_build_path_dominates_sequential_line_search():
 def test_build_path_dominates_sequential_line_search_three_states():
     _, met, _ = SWEEP_CASES["three-state-two-input"]()
     _dominates_sequential_descent(met, 1.0, np.random.default_rng(31))
+
+
+@pytest.mark.parametrize("x", [(1.0, 0.5), (-0.8, 1.2)])
+def test_warped_control_tends_to_double_integrator_control(x):
+    # the warped spec is the double integrator in x = phi^-1(z), with the
+    # same input, so its control from x* = 0 tends to the double
+    # integrator's at phi(x) as the path is refined; the forward-Euler
+    # sum along the path halves its error per doubling of the segments
+    warped = load_spec_file(WARPED)
+    di = load_spec_file(bundled_spec_path("double-integrator"))
+    x = np.array(x)
+    z = np.array([x[0] + 0.3 * math.sin(x[1]), x[1]])
+    zero, u0 = np.zeros(2), np.zeros(1)
+    limit = tracking_feedback(z, zero, u0, di.system, di.metric,
+                              ControllerConfig(lam=di.metric.lam))
+    errors = np.array([
+        abs(tracking_feedback(x, zero, u0, warped.system, warped.metric,
+                              ControllerConfig(lam=warped.metric.lam,
+                                               path_segments=s))[0] - limit[0])
+        for s in (8, 16, 32, 64, 128, 256)])
+    np.testing.assert_allclose(errors[:-1] / errors[1:], 2.0, rtol=0.0, atol=0.1)
 
 
 def test_tracking_feedback_exact_at_target():
