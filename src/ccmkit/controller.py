@@ -183,7 +183,8 @@ def build_path(x_star: np.ndarray, x: np.ndarray, met: MetricSpec,
     tried in order, each with one eval_raw call at the candidate's
     midpoints; the first whose energy is positive and not above the
     current one is kept, and the same call gives its Newton system.
-    Newton stops when no fraction qualifies.  Endpoints are never moved.
+    Newton stops when no fraction qualifies, and before trying any when
+    the energy is not positive.  Endpoints are never moved.
     """
     a = np.asarray(x_star, dtype=float)
     b = np.asarray(x, dtype=float)
@@ -200,7 +201,8 @@ def build_path(x_star: np.ndarray, x: np.ndarray, met: MetricSpec,
         g, H = _assemble(*terms)
         step = np.linalg.solve(H, g)
         residual = float(g @ step)
-        if 0.0 <= residual <= NEWTON_TOL * energy or iterations == NEWTON_MAX_ITER:
+        if (not energy > 0.0 or 0.0 <= residual <= NEWTON_TOL * energy
+                or iterations == NEWTON_MAX_ITER):
             break
         if residual < 0.0:
             # H is not positive definite and the Newton step climbs:

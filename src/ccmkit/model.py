@@ -70,6 +70,11 @@ class SystemSpec:
         dBdx = [jacobian([row[i] for row in self.B], xv) for i in range(self.m)]
         return compile_matrix([self.f, self.B, jacobian(self.f, xv), dBdx], self.n)
 
+    @cached_property
+    def autonomous(self) -> bool:
+        """No entry of f or B depends on t."""
+        return not any("t" in free_variables(e) for row in [self.f, *self.B] for e in row)
+
 
 @dataclass(eq=False)
 class MetricSpec:

@@ -13,10 +13,13 @@ tests.
 
 Only data types (RawEval, OrthogonalityResult, PowerLawFit,
 PathDiscretization, Infeasible), the tolerance constants and the
-single-path energy are taken from the package, with two exceptions:
+single-path energy are taken from the package, with three exceptions:
 build_path_separate_scoring and tracking_feedback_scalar keep the
-controller's earlier loops, which share its kernels by design, as the
-bitwise oracles of the loops that replaced them.
+controller's earlier loops, which share its kernels by design, and
+integrate_stepwise keeps the simulator's RK4 loop without its
+fixed-point stop, each as the bitwise oracle of the loop that replaced
+it.  write_csv_per_value is the simulator's earlier per-value CSV
+writer, the byte oracle of the batched one.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ccmkit import controller
+from ccmkit import controller, simulator
 from ccmkit.controller import Infeasible, PathDiscretization, path_energy
 from ccmkit.differential import feedback_terms
 from ccmkit.model import RawEval, plant_for
@@ -415,3 +418,47 @@ def fit_psi_power_law(sys, met, direction: np.ndarray, t: float = 0.0,
         return PowerLawFit(None, d.tolist(), t, used_s, used_psi)
     slope = float(np.polyfit(np.log(used_s), np.log(used_psi), 1)[0])
     return PowerLawFit(slope, d.tolist(), t, used_s, used_psi)
+
+
+# ---------------------------------------------------------------------------
+# open-loop runs and trajectory files
+
+def integrate_stepwise(sys, u_of_t, x0, t0: float = 0.0, horizon: float = 10.0,
+                       step: float = 1e-3) -> simulator.Trajectory:
+    """simulator.integrate without the fixed-point stop: every step of
+    the horizon runs through simulator._rk4_step."""
+    u_fn = simulator._as_callable(u_of_t, sys.m)
+    steps = max(1, int(round(horizon / step)))
+    h = horizon / steps
+    times = t0 + h * np.arange(steps + 1)
+    states = np.empty((steps + 1, sys.n))
+    inputs = np.empty((steps + 1, sys.m))
+    x = np.asarray(x0, dtype=float).copy()
+    for k in range(steps):
+        t = times[k]
+        states[k] = x
+        u0 = np.asarray(u_fn(t), dtype=float)
+        inputs[k] = u0
+        um = np.asarray(u_fn(t + 0.5 * h), dtype=float)
+        u1 = np.asarray(u_fn(t + h), dtype=float)
+        x = simulator._rk4_step(sys, x, t, h, u0, um, u1)
+        if not np.isfinite(x).all():
+            raise simulator.NonFiniteStateError(float(times[k + 1]))
+    states[-1] = x
+    inputs[-1] = np.asarray(u_fn(times[-1]), dtype=float)
+    return simulator.Trajectory(times=times, states=states, inputs=inputs)
+
+
+def write_csv_per_value(path, traj, V=None) -> None:
+    """simulator.write_csv one value and one write per row at a time."""
+    n = traj.states.shape[1]
+    m = traj.inputs.shape[1]
+    if V is None:
+        V = np.zeros(traj.times.size)
+    header = ",".join(["t"] + [f"x{i + 1}" for i in range(n)]
+                      + [f"u{j + 1}" for j in range(m)] + ["V"])
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for k in range(traj.times.size):
+            row = [traj.times[k], *traj.states[k], *traj.inputs[k], V[k]]
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

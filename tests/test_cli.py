@@ -9,6 +9,7 @@ import pytest
 
 from ccmkit.cli import main
 from ccmkit.model import bundled_spec_path
+from test_simulator import counting_rk4
 
 
 def _read_report(d):
@@ -99,6 +100,15 @@ def test_simulate_double_integrator(tmp_path, capsys):
     data = np.loadtxt(d / "trajectory.csv", delimiter=",", skiprows=1)
     assert data.shape[0] == 2001
     assert data[-1, -1] < data[0, -1]    # tracking cost decreased
+
+
+def test_simulate_checks_a_rest_point_target_in_one_step(tmp_path, monkeypatch):
+    # 1000 closed-loop steps and one for the target check: a target
+    # check that re-integrates the whole horizon makes 2000
+    calls = counting_rk4(monkeypatch)
+    assert main(["simulate", "--spec", "double-integrator", "--horizon", "1",
+                 "--out", str(tmp_path / "sim"), "--no-timestamp"]) == 0
+    assert len(calls) == 1001
 
 
 def test_simulate_requires_scenario(tmp_path, capsys):

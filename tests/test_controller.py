@@ -399,6 +399,26 @@ def test_warped_scenario_keeps_every_full_step(monkeypatch):
     assert max(evals) <= 2
 
 
+def test_build_path_stops_at_once_when_the_energy_is_not_positive(monkeypatch):
+    # M = diag(1 - x1^2, 1) is negative on the straight line from (2, 0)
+    # to (3, 0), and no candidate can satisfy 0 < E_cand <= E there
+    met = metric_of([["1 - x1^2", "0"], ["1"]], 0.1, 1.0, 0.5)
+    cfg = ControllerConfig(lam=0.5, path_segments=4)
+    x_star, x = np.array([2.0, 0.0]), np.array([3.0, 0.0])
+    want = ref.build_path_separate_scoring(x_star, x, met, cfg)
+    calls = []
+    midpoint_eval = controller._midpoint_eval
+    monkeypatch.setattr(controller, "_midpoint_eval",
+                        lambda *args: calls.append(0) or midpoint_eval(*args))
+    path = build_path(x_star, x, met, cfg)
+    assert len(calls) == 1
+    assert (path.energy, path.iterations, path.residual) == \
+        (-5.328125, 0, -0.19484845447074386)
+    assert np.array_equal(path.nodes, want.nodes)
+    assert (want.energy, want.iterations, want.residual) == \
+        (path.energy, path.iterations, path.residual)
+
+
 def test_constant_metric_makes_no_path_energy_call(monkeypatch):
     calls = _counting_path_energy(monkeypatch)
     sf = load_spec_file(bundled_spec_path("double-integrator"))

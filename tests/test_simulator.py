@@ -1,6 +1,7 @@
 """Integrator order, abort handling, and closed-loop tracking runs."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,11 @@ from ccmkit.simulator import (
     tracking_cost,
     write_csv,
 )
-from conftest import metric_of, scalar_counterexample, system_of
+import ccmkit.simulator as simulator
+import reference as ref
+from conftest import curved_system, metric_of, scalar_counterexample, system_of
+
+WARPED = Path(__file__).parents[1] / "perfbench" / "specs" / "warped_double_integrator.json"
 
 
 def test_rk4_fourth_order_on_linear_decay():
@@ -65,6 +70,78 @@ def test_finite_escape_raises_with_time():
         integrate(sys, [0.0], np.array([2.0]), horizon=1.0, step=1e-3)
     assert 0.45 < ei.value.time < 0.6
     assert "non-finite state" in str(ei.value)
+
+
+def counting_rk4(monkeypatch):
+    calls = []
+    rk4_step = simulator._rk4_step
+    monkeypatch.setattr(simulator, "_rk4_step",
+                        lambda *args: calls.append(0) or rk4_step(*args))
+    return calls
+
+
+def _assert_same_run(got, want):
+    for name in ("times", "states", "inputs"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+SHIPPED = [bundled_spec_path(name) for name in
+           ("double-integrator", "bounded-gain", "counterexample")] + [WARPED]
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_integrate_stops_at_a_shipped_target(path, monkeypatch):
+    # every shipped target is a rest point under a constant u*: one step
+    # shows it, and the rest of the horizon repeats that row
+    sf = load_spec_file(path)
+    sys, sc = sf.system, sf.scenario
+    assert sys.autonomous
+    want = ref.integrate_stepwise(sys, sc.u_star, sc.x_star, 0.0, sc.horizon, sc.step)
+    calls = counting_rk4(monkeypatch)
+    got = integrate(sys, sc.u_star, sc.x_star, 0.0, sc.horizon, sc.step)
+    assert len(calls) == 1
+    _assert_same_run(got, want)
+
+
+def test_integrate_negative_zero_is_not_a_fixed_point(monkeypatch):
+    # from -0.0 the first step gives +0.0: equal as floats, not as bytes,
+    # so the run stops one step later, at +0.0 -> +0.0
+    sys = system_of(["-x1"], [["1"]])
+    want = ref.integrate_stepwise(sys, [0.0], np.array([-0.0]), horizon=1.0, step=0.1)
+    assert np.signbit(want.states[0, 0]) and not np.signbit(want.states[1, 0])
+    calls = counting_rk4(monkeypatch)
+    got = integrate(sys, [0.0], np.array([-0.0]), horizon=1.0, step=0.1)
+    assert len(calls) == 2
+    _assert_same_run(got, want)
+
+
+@pytest.mark.parametrize("f, u", [
+    ("-x1*(1 + 0.5*sin(t))", [0.0]),             # t in f
+    ("-x1", lambda t: np.zeros(1)),              # a callable input
+])
+def test_integrate_runs_every_step_without_a_fixed_map(f, u, monkeypatch):
+    # x = 0 is a rest point of both, but the step map may change with t
+    sys = system_of([f], [["1"]])
+    want = ref.integrate_stepwise(sys, u, np.zeros(1), horizon=1.0, step=0.01)
+    calls = counting_rk4(monkeypatch)
+    got = integrate(sys, u, np.zeros(1), horizon=1.0, step=0.01)
+    assert len(calls) == 100
+    _assert_same_run(got, want)
+
+
+def test_system_autonomous():
+    assert system_of(["-x1", "x1*x2"], [["1"], ["cos(x1)"]]).autonomous
+    assert not system_of(["-x1"], [["1 + t"]]).autonomous
+    assert not curved_system()[0].autonomous
+
+
+def test_finite_escape_raises_like_the_stepwise_run():
+    sys = system_of(["x1^2"], [["0"]])
+    with pytest.raises(NonFiniteStateError) as want:
+        ref.integrate_stepwise(sys, [0.0], np.array([2.0]), horizon=1.0, step=1e-3)
+    with pytest.raises(NonFiniteStateError) as got:
+        integrate(sys, [0.0], np.array([2.0]), horizon=1.0, step=1e-3)
+    assert got.value.time == want.value.time
 
 
 def _synthetic_decay(lam, T=5.0, step=1e-2, d0=(1.0, -0.5)):
@@ -210,3 +287,39 @@ def test_write_csv_defaults_v_to_zero(tmp_path):
     write_csv(out, traj)
     data = np.loadtxt(out, delimiter=",", skiprows=1)
     assert np.array_equal(data[:, -1], np.zeros(3))
+
+
+def _same_csv_bytes(tmp_path, traj, V=None):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_csv(got, traj, V)
+    ref.write_csv_per_value(want, traj, V)
+    assert got.read_bytes() == want.read_bytes()
+    return got.read_text()
+
+
+def test_write_csv_matches_per_value_writer_on_a_run(tmp_path):
+    sf = load_spec_file(bundled_spec_path("double-integrator"))
+    sc = sf.scenario
+    cfg = ControllerConfig(lam=sf.metric.lam, path_segments=8)
+    traj, rep = simulate_closed_loop(sf.system, sf.metric, cfg, sc.x_star, sc.u_star,
+                                     sc.x0, horizon=0.2, step=sc.step)
+    assert traj.times.size == 201
+    _same_csv_bytes(tmp_path, traj, rep.V)
+    _same_csv_bytes(tmp_path, traj)
+
+
+def test_write_csv_matches_per_value_writer_on_special_values(tmp_path):
+    traj = Trajectory(times=np.array([0.0, 0.1]),
+                      states=np.array([[-0.0, np.nan], [np.inf, -np.inf]]),
+                      inputs=np.array([[1e-320], [-1.0 / 3.0]]))
+    text = _same_csv_bytes(tmp_path, traj, np.array([np.nan, -0.0]))
+    assert text.splitlines()[1:] == ["0,-0,nan,9.9998886718268301e-321,nan",
+                                     "0.10000000000000001,inf,-inf,-0.33333333333333331,-0"]
+
+
+def test_write_csv_matches_per_value_writer_three_states_two_inputs(tmp_path):
+    sys = system_of(["-x1 + x2", "-x2 + x3", "-x3"], [["1", "0"], ["0", "x1"], ["1", "1"]])
+    traj = integrate(sys, lambda t: np.array([np.sin(t), 0.5]),
+                     np.array([1.0, -2.0, 0.3]), horizon=0.5, step=0.05)
+    text = _same_csv_bytes(tmp_path, traj, np.linspace(0.0, 1.0, traj.times.size))
+    assert text.splitlines()[0] == "t,x1,x2,x3,u1,u2,V"
