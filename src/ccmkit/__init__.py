@@ -12,7 +12,7 @@ Subpackage map:
                   points, grid checks, verification reports
 * controller   -- rho feedback, path discretization, tracking control
 * simulator    -- RK4 integration, closed-loop runs, convergence fits
-* transforms   -- dual coordinates, convexity probe, input transforms
+* transforms   -- input transforms and the certificate's transport
 * cli          -- validate / verify / simulate / demo-counterexample
 """
 
@@ -76,12 +76,8 @@ from .simulator import (  # noqa: F401
     write_csv,
 )
 from .transforms import (  # noqa: F401
-    DualPoint,
     FeedbackTransform,
     apply_feedback_transform,
-    convexity_probe,
-    dual_constraint_residual,
-    dual_point,
     invariance_probe,
 )
 from .verifier import (  # noqa: F401

@@ -374,7 +374,7 @@ class Plant:
         if x.shape != (self.n,):
             raise SpecError(f"point x has shape {x.shape}, expected ({self.n},)")
         r = self.raw_batch(x, t)
-        _flag_non_finite(r, x, t)
+        _flag_non_finite(vars(r), x, t)
         return r
 
     def raw_batch(self, X: np.ndarray, t) -> RawEval:
@@ -399,31 +399,32 @@ def _point_bytes(n: int, m: int) -> int:
     return 8 * (n ** 3 + 7 * m * n * n + 9 * n * n + 24)
 
 
-_ENTRY_LABELS = (("f", "f"), ("B", "B"), ("M", "M"), ("dfdx", "df/dx"),
-                 ("dBdx", "dB/dx"), ("dMdx", "dM/dx"), ("dMdt", "dM/dt"))
+_ENTRY_LABELS = {"dfdx": "df/dx", "dBdx": "dB/dx", "dMdx": "dM/dx", "dMdt": "dM/dt"}
 
 
-def _flag_non_finite(r: RawEval, x, t) -> None:
-    """Raise NonFiniteEvalError if r holds inf or nan.
+def _flag_non_finite(entries: dict, x, t) -> None:
+    """Raise NonFiniteEvalError if an array of entries holds inf or nan.
 
-    r is evaluated at one point x, or at points stacked over the leading
-    axes of x, with t one time or one per point.  The message names the
-    first offending point's entry without the batch index (f[0], M[0][1])
-    and gives that point's x and t.
+    entries maps RawEval field names to their values (vars() of a
+    RawEval, or only {"M": M}), evaluated at one point x, or at points
+    stacked over the leading axes of x, with t one time or one per point.
+    The message names the first offending point's entry, the first in
+    the order of entries, without the batch index (f[0], M[0][1]) and
+    gives that point's x and t.
     """
     x = np.asarray(x, dtype=float)
     lead = x.shape[:-1]
-    bad = {name: ~np.isfinite(getattr(r, name)) for name, _ in _ENTRY_LABELS}
+    bad = {name: ~np.isfinite(v) for name, v in entries.items()}
     at = np.any([b.any(axis=tuple(range(len(lead), b.ndim))) for b in bad.values()],
                 axis=0)
     if not at.any():
         return
     p = np.unravel_index(np.argmax(at), lead)
-    name, label = next((n, lb) for n, lb in _ENTRY_LABELS if bad[n][p].any())
+    name = next(n for n in bad if bad[n][p].any())
     entry = np.unravel_index(np.argmax(bad[name][p]), bad[name].shape[len(lead):])
-    where = "".join(f"[{int(i)}]" for i in entry)
+    where = _ENTRY_LABELS.get(name, name) + "".join(f"[{int(i)}]" for i in entry)
     raise NonFiniteEvalError(
-        f"non-finite entry {label}{where} at x={x[p].tolist()}, "
+        f"non-finite entry {where} at x={x[p].tolist()}, "
         f"t={float(np.broadcast_to(t, lead)[p])}"
     )
 
@@ -519,11 +520,13 @@ def check_metric_bounds(met: MetricSpec, grid: GridSpec) -> MetricBoundsResult:
     chunk of the grid at a time.
 
     Passes iff min eig >= alpha1 - METRIC_BOUNDS_TOL and max eig <=
-    alpha2 + METRIC_BOUNDS_TOL at every grid (x, t).
+    alpha2 + METRIC_BOUNDS_TOL at every grid (x, t).  A non-finite M
+    raises NonFiniteEvalError, naming the first such point.
     """
     lo, hi = Extreme(np.argmin), Extreme(np.argmax)
     for x, t in grid.chunks(chunk_points(met.n, 0)):
         (M,) = met.eval_M(x, t)
+        _flag_non_finite({"M": M}, x, t)
         eigs = np.linalg.eigvalsh(M)
         lo.add(eigs[:, 0], x, t)
         hi.add(eigs[:, -1], x, t)

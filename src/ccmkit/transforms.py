@@ -1,16 +1,7 @@
-"""Dual-coordinate checks and input-side feedback transformations.
+"""Input-side feedback transformations.
 
-Dual form: with W = M^{-1} and eta = M delta, the pairing bound
-|delta' H_i delta| <= psi delta' Q delta becomes
-
-    |eta' (W J_i' + J_i W - d_{b_i} W) eta| <= psi eta' B B' eta,
-
-J_i = db_i/dx.  The left side is affine in the pair (W, dW/dx) and the
-right side is affine in psi, so feasible (W, psi) pairs form a convex
-set; convexity_probe tests that numerically on convex combinations.
-
-Input transformation: u = alpha(x) + beta(x) v maps the system to
-ftilde = f + B alpha, Btilde = B beta (computed symbolically here).
+u = alpha(x) + beta(x) v maps the system to ftilde = f + B alpha,
+Btilde = B beta (computed symbolically here).
 For nonsingular beta the certificate transports with
 psibar = kappa psi / gamma, where kappa is the largest l1 row norm of
 beta and gamma the smallest eigenvalue of beta beta'; invariance_probe
@@ -30,105 +21,18 @@ import numpy as np
 
 from . import expr
 from .differential import compute_H  # noqa: F401
-from .model import GridSpec, MetricSpec, RawEval, Report, SpecFile, SystemSpec
+from .model import GridSpec, MetricSpec, Report, SpecFile, SystemSpec
 from .verifier import _sweep_chunks, construct_psi  # noqa: F401
 
 # compute_H and construct_psi are not used here; they stay importable from
 # this module because perfbench/tracer.py patches them under these names.
 
 BETA_DET_TOL = 1e-12      # |det beta| at or below this counts as singular
-DUAL_TOL = 1e-9           # absolute slack on a dual constraint residual
-CONVEX_THETAS = (0.25, 0.5, 0.75)  # convex weights convexity_probe tests
 SLACK_TOL = 1e-8          # absolute slack on the transported pairing bound
 MARGIN_TOL = 1e-9         # kernel margins of both systems agree within this
 FD_POINTS = 8             # valid points whose v-gradient is cross-checked
 FD_TOL = 1e-6             # slope error, relative as |slope - g| / (1 + |g|)
 
-
-@dataclass
-class DualPoint:
-    """Dual coordinates at one evaluation point.
-
-    dWdx holds the state derivative of the W field (needed so convex
-    combinations stay linear); dual_point derives it from M as
-    dW/dx_k = -W (dM/dx_k) W.
-    """
-
-    W: np.ndarray      # (n, n) SPD
-    eta: np.ndarray    # (n,)
-    dWdx: np.ndarray   # (n, n, n)
-
-
-def dual_point(raw: RawEval, delta: np.ndarray) -> DualPoint:
-    """W = M^{-1}, eta = M delta, dWdx from the inverse-derivative rule."""
-    W = np.linalg.inv(raw.M)
-    W = 0.5 * (W + W.T)
-    d = np.asarray(delta, dtype=float)
-    return DualPoint(W=W, eta=raw.M @ d, dWdx=-W @ raw.dMdx @ W)
-
-
-def dual_constraint_residual(dp: DualPoint, raw: RawEval, psi: float) -> float:
-    """max_i [ |eta'(W J_i' + J_i W - d_{b_i}W) eta| - psi eta' B B' eta ].
-
-    Nonpositive means (W, psi) is feasible at this point for the tested eta.
-    """
-    eta = dp.eta
-    rhs = psi * float((raw.B.T @ eta) @ (raw.B.T @ eta))
-    J = raw.dBdx
-    dbW = np.tensordot(raw.B, dp.dWdx, axes=(0, 0))     # dbW[i] = d_{b_i} W
-    T = dp.W @ np.swapaxes(J, -1, -2) + J @ dp.W - dbW
-    return float(np.max(np.abs(eta @ T @ eta))) - rhs
-
-
-@dataclass
-class ConvexityResult(Report):
-    feasible: bool
-    worst_residual: float
-    thetas: tuple
-    samples: int
-
-
-def convexity_probe(duals1: list[DualPoint], duals2: list[DualPoint],
-                    raws: list[RawEval], psi1: float, psi2: float) -> ConvexityResult:
-    """Test convex combinations of two feasible dual certificates.
-
-    Both inputs must be feasible at every sample against both sampled
-    eta vectors (checked first; infeasible input raises ValueError --
-    combinations are only guaranteed to inherit feasibility at an eta
-    where both endpoints hold).  Each combination (theta W1 + (1-theta) W2,
-    theta psi1 + (1-theta) psi2), theta in CONVEX_THETAS, is then tested at
-    the same samples against both eta vectors, up to DUAL_TOL.
-    """
-    if not (len(duals1) == len(duals2) == len(raws)):
-        raise ValueError("sample lists must have equal length")
-    for which, duals, psi in (("first", duals1, psi1), ("second", duals2, psi2)):
-        for dp, other, raw in zip(duals, duals2 if duals is duals1 else duals1,
-                                  raws):
-            for eta in (dp.eta, other.eta):
-                r = dual_constraint_residual(
-                    DualPoint(W=dp.W, eta=eta, dWdx=dp.dWdx), raw, psi
-                )
-                if r > DUAL_TOL:
-                    raise ValueError(
-                        f"{which} certificate is not feasible: residual {r:.3e}"
-                    )
-    worst = -math.inf
-    for th in CONVEX_THETAS:
-        psi_c = th * psi1 + (1.0 - th) * psi2
-        for d1, d2, raw in zip(duals1, duals2, raws):
-            W = th * d1.W + (1.0 - th) * d2.W
-            dW = th * d1.dWdx + (1.0 - th) * d2.dWdx
-            for eta in (d1.eta, d2.eta):
-                r = dual_constraint_residual(
-                    DualPoint(W=W, eta=eta, dWdx=dW), raw, psi_c
-                )
-                worst = max(worst, r)
-    return ConvexityResult(feasible=worst <= DUAL_TOL, worst_residual=worst,
-                           thetas=CONVEX_THETAS, samples=len(raws))
-
-
-# ---------------------------------------------------------------------------
-# input-side feedback transformation
 
 @dataclass
 class FeedbackTransform:

@@ -256,7 +256,7 @@ def _sweep(plant: Plant, lam: float, x: np.ndarray, t: np.ndarray,
     one pass.  Without certificate, the certificate stage is skipped and
     psi, valid and cert_residual are None."""
     rb = plant.raw_batch(x, t)
-    _flag_non_finite(rb, x, t)
+    _flag_non_finite(vars(rb), x, t)
     P, n = rb.f.shape
     M = rb.M
     H = compute_H(rb)
@@ -397,7 +397,7 @@ def fit_psi_power_law(sys: SystemSpec, met: MetricSpec, direction: np.ndarray,
     s = np.asarray(scales, dtype=float)
     X = s[:, None] * d
     raw = plant_for(sys, met).raw_batch(X, t)
-    _flag_non_finite(raw, X, t)
+    _flag_non_finite(vars(raw), X, t)
     H = compute_H(raw)
     psi, _, _ = _certificate(H, compute_Q(raw), _h_tol(H)[1])
     use = np.isfinite(psi) & (psi > 0.0)

@@ -9,7 +9,9 @@ against itself: tests/test_sweep.py point by point over whole grids, the
 segment-wise tracking reference, the energy gradient, the steepest
 descent that the Newton geodesic must not lose to and the warped spec's
 closed-form geodesic in tests/test_controller.py, and the closed-form
-tests.
+tests.  The dual form (W = M^{-1}, eta = M delta) is a second oracle in
+other coordinates: for compute_H and construct_psi, and, as a
+generalized eigenvalue on ker B', for the sign of the kernel margin.
 
 Only data types (RawEval, OrthogonalityResult, PowerLawFit,
 PathDiscretization, Infeasible), the tolerance constants and the
@@ -324,6 +326,73 @@ def check_ccm_point(raw: RawEval, lam: float) -> float:
     S = Mdot0 + MA + MA.T + 2.0 * lam * raw.M
     SN = N.T @ S @ N
     return float(np.max(np.linalg.eigvalsh(0.5 * (SN + SN.T))))
+
+
+# ---------------------------------------------------------------------------
+# dual form: W = M^{-1} and eta = M delta, over points stacked on leading axes
+
+def _sym(A: np.ndarray) -> np.ndarray:
+    return 0.5 * (A + np.swapaxes(A, -1, -2))
+
+
+def dual_form(raw: RawEval) -> np.ndarray:
+    """T_i = W J_i' + J_i W - d_{b_i}W, stacked as (..., m, n, n), with
+    W = M^{-1}, J_i = db_i/dx and dW/dx_k = -W (dM/dx_k) W.
+
+    T_i = W H_i W, so eta' T_i eta = delta' H_i delta at eta = M delta,
+    and the pairing bound reads |eta' T_i eta| <= psi eta' B B' eta.
+    """
+    W = _sym(np.linalg.inv(raw.M))
+    Wk = W[..., None, :, :]
+    dWdx = -Wk @ raw.dMdx @ Wk
+    dbW = np.einsum("...ki,...kab->...iab", raw.B, dWdx)
+    WJt = Wk @ np.swapaxes(raw.dBdx, -1, -2)
+    return WJt + np.swapaxes(WJt, -1, -2) - dbW
+
+
+def dual_residual(raw: RawEval, eta: np.ndarray, psi) -> np.ndarray:
+    """max_i |eta' T_i eta| - psi eta' B B' eta: nonpositive where psi
+    satisfies the pairing bound for this eta."""
+    quad = np.einsum("...a,...iab,...b->...i", eta, dual_form(raw), eta)
+    Bt_eta = np.einsum("...ki,...k->...i", raw.B, eta)
+    return np.max(np.abs(quad), axis=-1) - psi * np.sum(Bt_eta * Bt_eta, axis=-1)
+
+
+def _kernel_pencil(A: np.ndarray, S: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of the pencil (K' S K, K' G K), G positive
+    definite, with K an orthonormal basis of ker A' (singular values at
+    or below TAU_RANK * sigma_max count as zero, A = 0 has rank 0); NaN
+    where the kernel is empty.  Points stacked on the first axis."""
+    P, n, _ = A.shape
+    _, s, vh = np.linalg.svd(np.swapaxes(A, -1, -2), full_matrices=True)
+    rank = np.where(s[:, 0] > 0.0, np.sum(s > TAU_RANK * s[:, :1], axis=1), 0)
+    mu = np.full(P, math.nan)
+    for r in np.unique(rank[rank < n]):
+        idx = np.flatnonzero(rank == r)
+        KT = vh[idx, r:, :]
+        K = np.swapaxes(KT, -1, -2)
+        Li = np.linalg.inv(np.linalg.cholesky(_sym(KT @ G[idx] @ K)))
+        C = Li @ _sym(KT @ S[idx] @ K) @ np.swapaxes(Li, -1, -2)
+        mu[idx] = np.linalg.eigvalsh(_sym(C))[:, -1]
+    return mu
+
+
+def kernel_pencils(raw: RawEval, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel margin as a generalized eigenvalue, in both coordinates.
+
+    With S = Mdot + A'M + MA + 2 lambda M at u = 0: the dual mu is the
+    largest eigenvalue of (K' S_W K, K' W K), K a basis of ker B' and
+    S_W = W S W; the primal one that of (N' S N, N' M N), N a basis of
+    ker (MB)'.  eta = M delta maps ker (MB)' onto ker B', so both are
+    the same number, and its sign is the sign of lambda_max(N' S N) for
+    any basis N.  NaN where the kernel is empty.
+    """
+    Mdot0 = raw.dMdt + np.einsum("pk,pkab->pab", raw.f, raw.dMdx)
+    MA = raw.M @ raw.dfdx
+    S = Mdot0 + MA + np.swapaxes(MA, -1, -2) + 2.0 * lam * raw.M
+    W = _sym(np.linalg.inv(raw.M))
+    return (_kernel_pencil(raw.B, W @ S @ W, W),
+            _kernel_pencil(raw.M @ raw.B, S, raw.M))
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,9 @@ from ccmkit.differential import compute_H, compute_Q, compute_ab
 from ccmkit.expr import NonFiniteError, differentiate, evaluate, parse
 from ccmkit.model import bundled_spec_path, load_spec_file, plant_for
 from ccmkit.simulator import integrate, simulate_closed_loop
-from ccmkit.transforms import (
-    DualPoint,
-    FeedbackTransform,
-    convexity_probe,
-    dual_point,
-    invariance_probe,
-)
+from ccmkit.transforms import FeedbackTransform, invariance_probe
 from ccmkit.verifier import CertificateInvalid, construct_psi, verify
-from conftest import curved_system, random_expression, two_input_system
+from conftest import random_expression, two_input_system
 
 BUNDLED = ("counterexample", "double-integrator", "bounded-gain")
 
@@ -189,68 +183,6 @@ def test_tracking_meets_claimed_rate_and_overshoot():
     _pass(f"closed loop from (1,0): rate {rep.fitted_rate:.2f} >= "
           f"{0.95 * lam:.2f}, overshoot {rep.overshoot:.2f} <= {R * 1.05:.2f}, "
           f"V under its exponential envelope, {elapsed:.1f}s")
-
-
-def test_dual_certificates_are_convex():
-    sys_, met = curved_system()
-    plant = plant_for(sys_, met)
-    rng = np.random.default_rng(2718)
-    raws, duals1, duals2 = [], [], []
-    while len(raws) < 200:
-        raw = plant.raw(rng.uniform(-2, 2, size=2), float(rng.uniform(0, 1)))
-        d1 = dual_point(raw, rng.normal(size=2))
-        G = rng.normal(size=(2, 2))
-        W2 = G @ G.T + 0.1 * np.eye(2)
-        dW2 = rng.normal(size=(2, 2, 2)) * 0.3
-        dW2 = 0.5 * (dW2 + dW2.transpose(0, 2, 1))
-        d2 = DualPoint(W=W2, eta=rng.normal(size=2), dWdx=dW2)
-        # keep both test directions clear of the input's null space
-        if min(float((raw.B.T @ e) @ (raw.B.T @ e))
-               for e in (d1.eta, d2.eta)) < 1e-4:
-            continue
-        raws.append(raw)
-        duals1.append(d1)
-        duals2.append(d2)
-
-    def forms(dp, raw):
-        out = []
-        for i in range(raw.B.shape[1]):
-            Ji = raw.dBdx[i]
-            dbiW = np.tensordot(raw.B[:, i], dp.dWdx, axes=(0, 0))
-            out.append(dp.W @ Ji.T + Ji @ dp.W - dbiW)
-        return out
-
-    def feasible_psi(duals):
-        worst = 0.0
-        for dp, raw, other in zip(duals, raws, duals2 if duals is duals1
-                                  else duals1):
-            for eta in (dp.eta, other.eta):
-                rhs = float((raw.B.T @ eta) @ (raw.B.T @ eta))
-                for Ti in forms(dp, raw):
-                    worst = max(worst, abs(float(eta @ Ti @ eta)) / rhs)
-        return worst
-
-    psi1 = feasible_psi(duals1) + 1e-9
-    psi2 = feasible_psi(duals2) + 1e-9
-    res = convexity_probe(duals1, duals2, raws, psi1, psi2)
-    assert res.feasible
-    assert res.worst_residual <= 1e-9
-    assert res.samples == 200
-
-    worst_mid = 0.0
-    for d1, d2, raw in zip(duals1, duals2, raws):
-        mid = DualPoint(W=0.5 * (d1.W + d2.W), eta=d1.eta,
-                        dWdx=0.5 * (d1.dWdx + d2.dWdx))
-        for T1, T2, Tm in zip(forms(d1, raw), forms(d2, raw), forms(mid, raw)):
-            a = float(d1.eta @ Tm @ d1.eta)
-            b = 0.5 * (float(d1.eta @ T1 @ d1.eta)
-                       + float(d1.eta @ T2 @ d1.eta))
-            err = abs(a - b) / (1.0 + abs(b))
-            worst_mid = max(worst_mid, err)
-            assert err <= 1e-12
-    _pass(f"convex combinations of 200 feasible dual pairs stay feasible "
-          f"(worst residual {res.worst_residual:+.1e}, midpoint identity "
-          f"{worst_mid:.1e})")
 
 
 def test_scaled_input_bound_and_margins_survive():

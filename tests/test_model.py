@@ -319,6 +319,21 @@ def test_metric_bounds_one_stacked_scan(case):
     assert verify(sys, met, grid).metric_bounds.to_dict() == want
 
 
+@pytest.mark.parametrize("m11", ["1 + x1/x1", "1 + 1/x1^2"])
+def test_metric_bounds_flag_a_non_finite_metric(m11):
+    # M is nan (0/0) or infinite at x1 = 0, where an eigenvalue scan would
+    # read min_eig = 0 or max_eig = inf; check_metric_bounds names the
+    # first such point in grid order, as verify does
+    sys = system_of(["-x1", "-x2"], [["1"], ["0"]])
+    met = metric_of([[m11, "0"], ["1"]], 1.0, 2.0, 0.5)
+    grid = grid_of([(-1.0, 1.0, 5), (-1.0, 1.0, 3)], [[0.0]])
+    message = r"^non-finite entry M\[0\]\[0\] at x=\[0\.0, -1\.0\], t=0\.0$"
+    with pytest.raises(NonFiniteEvalError, match=message):
+        check_metric_bounds(met, grid)
+    with pytest.raises(NonFiniteEvalError, match=message):
+        verify(sys, met, grid)
+
+
 def test_metric_bounds_to_dict_serializes():
     met = metric_of([["1"]], 1.0, 1.0, 0.5)
     grid = grid_of([(-1.0, 1.0, 3)], [[0.0]])

@@ -8,7 +8,7 @@ import pytest
 
 from ccmkit.model import MetricBoundsResult, Report
 from ccmkit.simulator import ConvergenceReport
-from ccmkit.transforms import ConvexityResult, InvarianceResult
+from ccmkit.transforms import InvarianceResult
 from ccmkit.verifier import (
     Condition1Result,
     ContractionResult,
@@ -74,9 +74,6 @@ CASES = [
         "overshoot_pass": False, "V_initial": None, "V_final": None,
         "infeasible_time": None, "infeasible_message": "", "abort_time": None,
         "passed": False}),
-    (ConvexityResult(b_(True), f64(-1e-3), (0.25, f64(0.5)), i64(12)), {
-        "feasible": True, "worst_residual": -1e-3, "thetas": [0.25, 0.5],
-        "samples": 12}),
     (InvarianceResult(b_(True), i64(968), i64(0), f64(15.0), 2, f64(0.25), f64(30.5),
                       fd_checked=i64(8), fd_max_err=0, margins_match=b_(True)), {
         "passed": True, "checked_points": 968, "skipped_invalid": 0,

@@ -6,7 +6,8 @@ stages.  Here every grid point is recomputed with the per-point
 reference of tests/reference.py (kernel_basis, check_orthogonality,
 check_ccm_point, eps_margin, construct_psi, compute_H): flags must match
 exactly, floats to 1e-12 relative, and the summaries must list failures
-in grid order with their cap of 16.  The scans read the grid in chunks:
+in grid order with their cap of 16.  The dual form's kernel pencil is a
+second oracle of the margin, in other coordinates.  The scans read the grid in chunks:
 every summary must come out byte for byte the same at any chunk length.
 """
 
@@ -196,6 +197,25 @@ def test_sweep_matches_point_functions(name):
         np.testing.assert_allclose(getattr(sw, field), [r[field] for r in rows],
                                    rtol=RTOL, atol=0.0, equal_nan=True,
                                    err_msg=field)
+
+
+@pytest.mark.parametrize("name", [c for c in CASES if c != "indefinite-metric"])
+def test_dual_pencil_matches_the_margin(name):
+    # in the dual form (W = M^{-1}, eta = M delta) the kernel is ker B'
+    # and the margin becomes the largest eigenvalue mu of the pencil
+    # (K' W S W K, K' W K): ker B' is empty exactly where the margin is
+    # vacuous, mu has the margin's sign wherever the margin clears eps,
+    # and mu equals the primal pencil (N' S N, N' M N); the pencil needs
+    # a positive definite M, which the indefinite-metric case lacks
+    sys, met, grid, _rows = _case(name)
+    sw = _whole_grid(sys, met, grid)
+    mu, primal = ref.kernel_pencils(sw.raw, met.lam)
+    assert np.isnan(mu).tolist() == np.isnan(sw.margin).tolist()
+    assert np.isnan(primal).tolist() == np.isnan(sw.margin).tolist()
+    clear = np.abs(sw.margin) > sw.eps
+    assert np.array_equal(np.sign(mu[clear]), np.sign(sw.margin[clear]))
+    both = ~np.isnan(mu)
+    assert np.all(np.abs(mu - primal)[both] <= 1e-12 * (1.0 + np.abs(mu[both])))
 
 
 def _reference_contraction(rows):

@@ -1,4 +1,5 @@
-"""Dual (inverse-metric) coordinates and input-side feedback transforms."""
+"""Input-side feedback transforms, and compute_H and construct_psi
+against the dual form of tests/reference.py."""
 
 import json
 import math
@@ -7,176 +8,46 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference as ref
 from ccmkit import transforms
 from ccmkit.differential import compute_H, compute_Q
 from ccmkit.model import bundled_spec_path, load_spec_file, plant_for
 from ccmkit.transforms import (
-    DUAL_TOL,
     FD_TOL,
-    DualPoint,
     FeedbackTransform,
     apply_feedback_transform,
-    convexity_probe,
-    dual_constraint_residual,
-    dual_point,
     invariance_probe,
 )
+from ccmkit.verifier import construct_psi
 from conftest import curved_system, grid_of, scalar_counterexample, set_chunk_points, \
     two_input_system
-
-
-def _dual_forms(dp, raw):
-    """T_i = W J_i' + J_i W - d_{b_i}W for each input column."""
-    out = []
-    for i in range(raw.B.shape[1]):
-        Ji = raw.dBdx[i]
-        dbiW = np.tensordot(raw.B[:, i], dp.dWdx, axes=(0, 0))
-        out.append(dp.W @ Ji.T + Ji @ dp.W - dbiW)
-    return out
-
-
-def test_dual_point_scalar_worked_values():
-    sys, met = scalar_counterexample()
-    raw = plant_for(sys, met).raw(np.array([1.0]), 0.0)
-    dp = dual_point(raw, np.array([0.7]))
-    assert np.array_equal(dp.W, [[1.0]])
-    assert np.array_equal(dp.eta, [0.7])
-    assert np.array_equal(dp.dWdx, np.zeros((1, 1, 1)))
-
-
-def test_dual_point_inverts_metric():
-    sys, met = curved_system()
-    plant = plant_for(sys, met)
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        x = rng.uniform(-2, 2, size=2)
-        t = float(rng.uniform(0, 1))
-        delta = rng.normal(size=2)
-        raw = plant.raw(x, t)
-        dp = dual_point(raw, delta)
-        assert np.allclose(dp.W @ raw.M, np.eye(2), atol=1e-12)
-        assert np.array_equal(dp.W, dp.W.T)
-        assert np.array_equal(dp.eta, raw.M @ delta)
-        for k in range(2):
-            want = -dp.W @ raw.dMdx[k] @ dp.W
-            assert np.allclose(dp.dWdx[k], want, atol=1e-13)
 
 
 def test_primal_dual_forms_agree_exactly():
     # delta' H_i delta == eta' T_i eta with eta = M delta, W = M^{-1}
     sys, met = curved_system()
-    plant = plant_for(sys, met)
     rng = np.random.default_rng(11)
-    checked = 0
-    for _ in range(60):
-        x = rng.uniform(-2, 2, size=2)
-        t = float(rng.uniform(0, 1))
-        delta = rng.normal(size=2)
-        raw = plant.raw(x, t)
-        H = compute_H(raw)
-        dp = dual_point(raw, delta)
-        for Hi, Ti in zip(H, _dual_forms(dp, raw)):
-            lhs = float(delta @ Hi @ delta)
-            rhs = float(dp.eta @ Ti @ dp.eta)
-            assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
-            checked += 1
-    assert checked == 60
+    X = rng.uniform(-2, 2, size=(60, 2))
+    raw = plant_for(sys, met).raw_batch(X, rng.uniform(0, 1, size=60))
+    delta = rng.normal(size=(60, 2))
+    eta = np.einsum("pab,pb->pa", raw.M, delta)
+    lhs = np.einsum("pa,piab,pb->pi", delta, compute_H(raw), delta)
+    rhs = np.einsum("pa,piab,pb->pi", eta, ref.dual_form(raw), eta)
+    assert lhs.shape == (60, 1)
+    assert np.all(np.abs(lhs - rhs) <= 1e-9 * (1.0 + np.abs(lhs)))
 
 
 def test_dual_residual_sign_matches_psi():
     # scalar system at x=0.5 needs psi = 32: feasible there, 31.9 is not
     sys, met = scalar_counterexample()
     raw = plant_for(sys, met).raw(np.array([0.5]), 0.0)
-    dp = dual_point(raw, np.array([1.0]))
-    assert dual_constraint_residual(dp, raw, 32.0) == pytest.approx(0.0, abs=1e-12)
-    assert dual_constraint_residual(dp, raw, 40.0) < 0.0
-    assert dual_constraint_residual(dp, raw, 31.9) > 0.0
+    eta = raw.M @ np.array([1.0])
+    assert ref.dual_residual(raw, eta, 32.0) == pytest.approx(0.0, abs=1e-12)
+    assert ref.dual_residual(raw, eta, 40.0) < 0.0
+    assert ref.dual_residual(raw, eta, 31.9) > 0.0
     # the primal certificate lands on the same number
-    H = compute_H(raw)
-    from ccmkit.verifier import construct_psi
-    assert construct_psi(compute_Q(raw), H).psi == pytest.approx(32.0, rel=1e-12)
-
-
-def _feasible_psi(duals, raws, eta_lists):
-    worst = 0.0
-    for dp, raw, etas in zip(duals, raws, eta_lists):
-        for eta in etas:
-            rhs = float((raw.B.T @ eta) @ (raw.B.T @ eta))
-            assert rhs > 1e-12      # redraw the sample points otherwise
-            for Ti in _dual_forms(dp, raw):
-                worst = max(worst, abs(float(eta @ Ti @ eta)) / rhs)
-    return worst
-
-
-def test_convexity_probe_accepts_combinations():
-    sys, met, _grid = two_input_system()
-    plant = plant_for(sys, met)
-    rng = np.random.default_rng(23)
-    raws, duals1, duals2 = [], [], []
-    for _ in range(12):
-        raw = plant.raw(rng.uniform(-2, 2, size=2), 0.0)
-        delta = rng.normal(size=2)
-        dp1 = dual_point(raw, delta)
-        raws.append(raw)
-        duals1.append(dp1)
-        # an unrelated constant-W certificate against a fresh eta
-        duals2.append(DualPoint(W=np.diag([1.0, 2.0]), eta=rng.normal(size=2),
-                                dWdx=np.zeros((2, 2, 2))))
-    etas = [(d1.eta, d2.eta) for d1, d2 in zip(duals1, duals2)]
-    psi1 = _feasible_psi(duals1, raws, etas) + 1e-9
-    psi2 = _feasible_psi(duals2, raws, etas) + 1e-9
-    res = convexity_probe(duals1, duals2, raws, psi1, psi2)
-    assert res.feasible
-    assert res.worst_residual <= 1e-9
-    assert res.samples == 12 and res.thetas == (0.25, 0.5, 0.75)
-    d = res.to_dict()
-    assert d["feasible"] is True and d["samples"] == 12
-
-
-def test_convexity_probe_rejects_infeasible_input():
-    sys, met = scalar_counterexample()
-    raw = plant_for(sys, met).raw(np.array([0.5]), 0.0)
-    dp = dual_point(raw, np.array([1.0]))
-    with pytest.raises(ValueError, match="not feasible"):
-        convexity_probe([dp], [dp], [raw], 1.0, 32.0)   # needs 32 at x=0.5
-    with pytest.raises(ValueError, match="equal length"):
-        convexity_probe([dp], [dp, dp], [raw], 32.0, 32.0)
-
-
-def test_convexity_probe_dual_tolerance_boundary():
-    # at x = 0.5 the residual is 2 - psi/16 for eta = 1, zero at psi = 32:
-    # three DUAL_TOL above zero is infeasible, half of it is not
-    sys, met = scalar_counterexample()
-    raw = plant_for(sys, met).raw(np.array([0.5]), 0.0)
-    dp = dual_point(raw, np.array([1.0]))
-    for excess, feasible in ((3.0, False), (0.5, True)):
-        psi = 32.0 - 16.0 * excess * DUAL_TOL
-        assert dual_constraint_residual(dp, raw, psi) == pytest.approx(
-            excess * DUAL_TOL, rel=1e-6)
-        if feasible:
-            assert convexity_probe([dp], [dp], [raw], psi, 32.0).feasible
-        else:
-            with pytest.raises(ValueError, match="first certificate is not feasible"):
-                convexity_probe([dp], [dp], [raw], psi, 32.0)
-
-
-def test_convex_combination_is_affine_per_input():
-    sys, met = curved_system()
-    plant = plant_for(sys, met)
-    rng = np.random.default_rng(31)
-    raw = plant.raw(np.array([0.4, -0.8]), 0.1)
-    d1 = dual_point(raw, rng.normal(size=2))
-    d2 = DualPoint(W=np.diag([2.0, 0.5]), eta=rng.normal(size=2),
-                   dWdx=np.zeros((2, 2, 2)))
-    mid = DualPoint(W=0.5 * (d1.W + d2.W), eta=d1.eta,
-                    dWdx=0.5 * (d1.dWdx + d2.dWdx))
-    f1 = _dual_forms(DualPoint(W=d1.W, eta=d1.eta, dWdx=d1.dWdx), raw)
-    f2 = _dual_forms(DualPoint(W=d2.W, eta=d1.eta, dWdx=d2.dWdx), raw)
-    fm = _dual_forms(mid, raw)
-    for T1, T2, Tm in zip(f1, f2, fm):
-        a = float(d1.eta @ Tm @ d1.eta)
-        b = 0.5 * (float(d1.eta @ T1 @ d1.eta) + float(d1.eta @ T2 @ d1.eta))
-        assert abs(a - b) <= 1e-12 * (1.0 + abs(b))
+    assert construct_psi(compute_Q(raw), compute_H(raw)).psi == pytest.approx(
+        32.0, rel=1e-12)
 
 
 def test_feedback_transform_at_and_gains():
